@@ -3,9 +3,9 @@
 Everything here operates on small dense matrices (projected Hessenberg /
 coupling matrices, shifted blocks) or on structured factorizations of the
 large operators.  Eigen/SVD/LU work is delegated to LAPACK and SuperLU;
-``dense_matfun`` implements the matrix-function evaluation strategy itself:
-scaling-and-squaring for the exponential, an eigenvector route when the
-eigenbasis is well conditioned, and a Schur-Parlett fallback otherwise.
+``dense_matfun`` evaluates matrix functions: scaling-and-squaring with a
+degree-13 Pade approximant for the exponential, and for the branch-cut
+functions scipy's Schur square root behind a guard on the eigenvalues.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ import scipy.sparse as sparse
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
-from .functions import DomainError, ScalarFunction, eval_scalar
+from .functions import DomainError, ScalarFunction
 
 __all__ = [
     "EigenSolveError",
@@ -31,8 +31,6 @@ __all__ = [
     "lu_factor",
     "lu_solve",
 ]
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 class EigenSolveError(RuntimeError):
@@ -65,7 +63,6 @@ def hessenberg_reduce(H):
 class EigDecomp:
     values: np.ndarray          # (d,) complex
     vectors: np.ndarray         # (d, d) complex, unit columns
-    condition_estimate: float   # 2-norm condition number of the eigenbasis
 
 
 def eig_dense(H):
@@ -83,11 +80,7 @@ def eig_dense(H):
     norms = np.linalg.norm(vr, axis=0)
     norms[norms == 0.0] = 1.0
     vr = vr / norms
-    try:
-        cond = float(np.linalg.cond(vr))
-    except np.linalg.LinAlgError:  # pragma: no cover
-        cond = np.inf
-    return EigDecomp(np.asarray(w, dtype=complex), vr, cond)
+    return EigDecomp(np.asarray(w, dtype=complex), vr)
 
 
 def svd_small(B):
@@ -151,185 +144,45 @@ def _expm_pade13(A):
     return F
 
 
-def _cut_distance(lam):
-    """Distance from each point to the closed ray (-inf, 0]."""
-    lam = np.asarray(lam, dtype=complex)
-    return np.where(lam.real <= 0.0, np.abs(lam.imag), np.abs(lam))
-
-
-def _check_spectrum(f, values, scale):
-    if not f.has_branch_cut:
-        return
-    dist = _cut_distance(values)
-    on_ray = (np.asarray(values).imag == 0.0) & (np.asarray(values).real <= 0.0)
-    bad = on_ray | (dist < 1e-12 * scale)
-    if np.any(bad):
-        lam = np.asarray(values)[bad][0]
-        raise DomainError(
-            f"{f.id}: eigenvalue {lam} lies on (or within 1e-12*||H|| of) "
-            "the excluded ray (-inf, 0]"
-        )
-
-
-def _sqrt_triu(T):
-    """Principal square root of an upper triangular matrix (recurrence)."""
-    d = T.shape[0]
-    U = np.zeros_like(T, dtype=complex)
-    diag = np.sqrt(np.diag(T).astype(complex))
-    U[np.diag_indices(d)] = diag
-    for sep in range(1, d):
-        for i in range(d - sep):
-            j = i + sep
-            s = T[i, j]
-            if sep > 1:
-                s = s - U[i, i + 1: j] @ U[i + 1: j, j]
-            denom = U[i, i] + U[j, j]
-            if denom == 0.0:
-                raise DomainError(
-                    "sqrt recurrence breakdown: eigenvalues straddle the branch cut"
-                )
-            U[i, j] = s / denom
-    return U
-
-
-def _atomic_triangular(T, f):
-    """Evaluate f on a (clustered) upper triangular block."""
-    d = T.shape[0]
-    if f.id == "identity":
-        return T.copy()
-    if f.id == "exp":
-        return _expm_pade13(T)
-    if f.id == "expneg":
-        return _expm_pade13(-T)
-    if f.id == "sqrt":
-        return _sqrt_triu(T)
-    if f.id == "invsqrt":
-        S = _sqrt_triu(T)
-        return scipy.linalg.solve_triangular(S, np.eye(d, dtype=S.dtype),
-                                             check_finite=False)
-    if f.id == "phi":
-        S = _sqrt_triu(T)
-        E = _expm_pade13(-S)
-        E[np.diag_indices(d)] -= 1.0
-        # right solve X T = E - I through the transposed system
-        return scipy.linalg.solve_triangular(T.T, E.T, lower=True,
-                                             check_finite=False).T
-    # generic fallback: the block is triangular, use its eigen route
-    dec = eig_dense(T)
-    fw = f(dec.values)
-    return np.linalg.solve(dec.vectors.T, (dec.vectors * fw).T).T
-
-
-def _contiguous_clusters(lam, threshold):
-    """Partition diagonal indices into contiguous segments separated by
-    at least ``threshold`` in eigenvalue distance (merging is transitive)."""
-    d = len(lam)
-    bounds = [(i, i + 1) for i in range(d)]
-    merged = True
-    while merged and len(bounds) > 1:
-        merged = False
-        out = [bounds[0]]
-        for seg in bounds[1:]:
-            a = lam[out[-1][0]: out[-1][1]]
-            b = lam[seg[0]: seg[1]]
-            gap = np.min(np.abs(a[:, None] - b[None, :]))
-            if gap < threshold:
-                out[-1] = (out[-1][0], seg[1])
-                merged = True
-            else:
-                out.append(seg)
-        bounds = out
-    return bounds
-
-
-class _SylvesterBreakdown(Exception):
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-
-
-def _parlett_blocks(T, f, bounds):
-    d = T.shape[0]
-    F = np.zeros_like(T, dtype=complex)
-    for (a, b) in bounds:
-        F[a:b, a:b] = _atomic_triangular(T[a:b, a:b], f)
-    nb = len(bounds)
-    tnorm = max(float(np.linalg.norm(T, 2)), _EPS)
-    for sep in range(1, nb):
-        for bi in range(nb - sep):
-            bj = bi + sep
-            ia, ib = bounds[bi]
-            ja, jb = bounds[bj]
-            Tii = T[ia:ib, ia:ib]
-            Tjj = T[ja:jb, ja:jb]
-            Tij = T[ia:ib, ja:jb]
-            rhs = F[ia:ib, ia:ib] @ Tij - Tij @ F[ja:jb, ja:jb]
-            for bk in range(bi + 1, bj):
-                ka, kb = bounds[bk]
-                rhs = rhs + F[ia:ib, ka:kb] @ T[ka:kb, ja:jb]
-                rhs = rhs - T[ia:ib, ka:kb] @ F[ka:kb, ja:jb]
-            try:
-                X = scipy.linalg.solve_sylvester(Tii, -Tjj, rhs)
-            except (np.linalg.LinAlgError, ValueError):
-                raise _SylvesterBreakdown(bi, bj) from None
-            resid = np.linalg.norm(Tii @ X - X @ Tjj - rhs)
-            bound = 1e-8 * (tnorm * np.linalg.norm(X) + np.linalg.norm(rhs) + _EPS)
-            if not np.all(np.isfinite(X)) or resid > bound:
-                raise _SylvesterBreakdown(bi, bj)
-            F[ia:ib, ja:jb] = X
-    return F
-
-
-def _schur_parlett(H, f, threshold):
-    T, Z = scipy.linalg.schur(H.astype(complex), output="complex",
-                              check_finite=False)
-    lam = np.diag(T)
-    bounds = _contiguous_clusters(lam, threshold)
-    while True:
-        try:
-            F = _parlett_blocks(T, f, bounds)
-            break
-        except _SylvesterBreakdown as bd:
-            if len(bounds) == 1:  # pragma: no cover - atomic path cannot break
-                raise EigenSolveError("Parlett recurrence failed on a single block")
-            # merge every block in the offending range and retry
-            lo, hi = bd.lo, bd.hi
-            bounds = bounds[:lo] + [(bounds[lo][0], bounds[hi][1])] + bounds[hi + 1:]
-    return Z @ F @ Z.conj().T
-
-
-def dense_matfun(H, f: ScalarFunction, cond_limit=1e6, cluster_gap=0.1):
+def dense_matfun(H, f: ScalarFunction):
     """Evaluate the matrix function f(H) of a small dense matrix.
 
     exp/expneg go through scaling-and-squaring with the degree-13 diagonal
-    Pade (scaled so the 1-norm is at most ~5.37).  Other functions use the
-    eigendecomposition X f(L) X^{-1} when cond(X) <= cond_limit and fall back
-    to a complex Schur form with a blocked Parlett recurrence, clustered by
-    eigenvalue gaps below ``cluster_gap * ||H||``.
+    Pade (scaled so the 1-norm is at most ~5.37).  The branch-cut functions
+    share the principal square root S of H from scipy's blocked Schur method
+    (Deadman, Higham & Ralha 2013; real Schur form for real H, Higham 1987):
+    sqrt returns S, invsqrt S^{-1} and phi H^{-1} (exp(-S) - I).  They first
+    raise DomainError when an eigenvalue of H lies on the ray (-inf, 0] or
+    within 1e-12*||H||_F of it.
     """
     H = _as_square(H)
-    real_in = not np.iscomplexobj(H)
     if f.id == "identity":
         return H.copy()
     if f.id == "exp":
         return _expm_pade13(H)
     if f.id == "expneg":
         return _expm_pade13(-H)
+    if f.id not in ("sqrt", "invsqrt", "phi"):
+        raise ValueError(f"no dense evaluation for function {f.id!r}")
 
-    scale = float(np.linalg.norm(H, 2)) if H.size else 0.0
-    dec = eig_dense(H)
-    _check_spectrum(f, dec.values, scale)
-
-    if dec.condition_estimate <= cond_limit:
-        fw = eval_scalar(f, dec.values)
-        F = np.linalg.solve(dec.vectors.T, (dec.vectors * fw).T).T
-    else:
-        F = _schur_parlett(H, f, cluster_gap * scale)
-    if real_in:
-        # real input and a real-coefficient function off the cut give a real
-        # result; the imaginary residue is rounding noise
-        F = F.real.copy()
-    return F
+    # distance of each eigenvalue to the closed ray (-inf, 0]; ||H||_F bounds
+    # ||H||_2 from above, so the tolerance is never looser than a 2-norm one
+    lam = eig_dense(H).values
+    dist = np.where(lam.real <= 0.0, np.abs(lam.imag), np.abs(lam))
+    bad = dist <= 1e-12 * float(np.linalg.norm(H))
+    if np.any(bad):
+        raise DomainError(
+            f"{f.id}: eigenvalue {lam[bad][0]} lies on (or within 1e-12*||H||_F of) "
+            "the excluded ray (-inf, 0]"
+        )
+    S = scipy.linalg.sqrtm(H)
+    if f.id == "sqrt":
+        return S
+    eye = np.eye(H.shape[0], dtype=S.dtype)
+    if f.id == "invsqrt":
+        return np.linalg.solve(S, eye)
+    # phi(z) = (exp(-sqrt(z)) - 1) / z
+    return np.linalg.solve(H, _expm_pade13(-S) - eye)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,12 @@ def scalar_reference(fid, z, dps=50):
 
 
 def dense_fA(A, fid):
-    """Dense f(A) via scipy building blocks (expm / sqrtm / solve)."""
+    """Dense f(A) via scipy building blocks (expm / fractional power / solve).
+
+    The square roots come from ``fractional_matrix_power`` (Higham-Lin
+    Schur-Pade with its own triangular square root), not from ``sqrtm``,
+    which the package itself uses.
+    """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     if fid == "exp":
@@ -40,13 +45,36 @@ def dense_fA(A, fid):
     if fid == "expneg":
         return scipy.linalg.expm(-A)
     if fid == "sqrt":
-        return scipy.linalg.sqrtm(A)
+        return scipy.linalg.fractional_matrix_power(A, 0.5)
     if fid == "invsqrt":
-        return np.linalg.solve(scipy.linalg.sqrtm(A), np.eye(n))
+        return scipy.linalg.fractional_matrix_power(A, -0.5)
     if fid == "phi":
         # phi(z) = (exp(-sqrt(z)) - 1)/z, so phi(A) = A^{-1}(e^{-sqrt(A)} - I)
-        return np.linalg.solve(A, scipy.linalg.expm(-scipy.linalg.sqrtm(A)) - np.eye(n))
+        S = scipy.linalg.fractional_matrix_power(A, 0.5)
+        return np.linalg.solve(A, scipy.linalg.expm(-S) - np.eye(n))
     raise ValueError(fid)
+
+
+def dense_fA_mp(A, fid, dps=40):
+    """Dense f(A) for the branch-cut functions in mpmath at ``dps`` digits.
+
+    mpmath's sqrtm (a Denman-Beavers iteration) shares no code with scipy or
+    the package; meant for small n.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        M = mpmath.matrix(np.asarray(A, dtype=complex).tolist())
+        S = mpmath.sqrtm(M)
+        if fid == "sqrt":
+            R = S
+        elif fid == "invsqrt":
+            R = mpmath.inverse(S)
+        elif fid == "phi":
+            R = mpmath.inverse(M) * (mpmath.expm(-S) - mpmath.eye(M.rows))
+        else:
+            raise ValueError(fid)
+        return np.array(R.tolist(), dtype=complex)
 
 
 def dense_triplets(F, k=3):

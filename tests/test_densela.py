@@ -122,13 +122,49 @@ def test_matfun_against_independent_oracle(fid, n):
 
 
 def test_matfun_clustered_eigenvalues_stay_accurate():
-    # nearly defective pair: diagonalization would be ill-conditioned, so the
-    # Schur/Parlett path (or scaling-and-squaring) must take over
+    # nearly defective pair: diagonalization would be ill-conditioned, so
+    # only a Schur-based method (or scaling-and-squaring) stays accurate
     A = np.array([[2.0, 1.0, 0.3], [0.0, 2.0 + 1e-9, 1.0], [0.0, 0.0, 3.0]])
     for fid in ("exp", "sqrt", "phi"):
         got = dense_matfun(A, get_function(fid))
         want = oracles.dense_fA(A, fid)
         npt.assert_allclose(got, want, atol=1e-8 * np.linalg.norm(want))
+
+
+def test_matfun_invsqrt_nonnormal_matches_mpmath():
+    # real nonnormal matrix with a close eigenvalue pair: the eigenbasis has
+    # condition ~8e5, so an eigenvector route errs by ~cond*eps (4e-11 here)
+    rng = np.random.default_rng(1)
+    n = 6
+    T = np.triu(rng.standard_normal((n, n)))
+    T[np.diag_indices(n)] = [1.0, 1.0 + 2.5e-6, 2.0, 2.5, 3.0, 4.0]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q @ T @ Q.T
+    V = np.linalg.eig(A)[1]
+    assert 1e5 < np.linalg.cond(V) < 1e6
+    got = dense_matfun(A, get_function("invsqrt"))
+    want = oracles.dense_fA_mp(A, "invsqrt")
+    assert got.dtype == np.float64
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("fid", ["sqrt", "invsqrt", "phi"])
+def test_matfun_complex_input_matches_mpmath(fid):
+    # eigenvalues on both sides of the imaginary axis, none near the cut
+    rng = np.random.default_rng(21)
+    n = 5
+    A = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    A += np.diag([2.0 + 1.0j, -1.0 + 2.0j, -0.5 - 1.5j, 1.0 - 0.5j, 3.0])
+    got = dense_matfun(A, get_function(fid))
+    want = oracles.dense_fA_mp(A, fid)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("fid", ["sqrt", "invsqrt", "phi"])
+def test_matfun_domain_error_near_cut(fid):
+    # 1e-14 is off the ray but within 1e-12*||H|| of it
+    with pytest.raises(DomainError):
+        dense_matfun(np.diag([1e-14, 1.0, 2.0]), get_function(fid))
 
 
 def test_matfun_domain_error_on_cut_spectrum():
