@@ -12,8 +12,7 @@ package.
 
 from .baselines import ExpBoundResult, exp_norm_bound, power_method
 from .densela import (EigenSolveError, FactorizationError, dense_matfun,
-                      eig_dense, hessenberg_reduce, lu_factor, lu_solve,
-                      sigma_min_shifted, svd_small)
+                      eig_dense, lu_factor, sigma_min_shifted)
 from .functions import DomainError, FUNCTION_IDS, ScalarFunction, get_function
 from .inner import InnerConfig, InnerResult, approx_fAv
 from .operators import (LinearOperator, MatrixMarketError, MatrixSpec,
@@ -31,8 +30,7 @@ __all__ = [
     "__version__",
     "ScalarFunction", "FUNCTION_IDS", "get_function", "DomainError",
     "EigenSolveError", "FactorizationError", "dense_matfun", "eig_dense",
-    "hessenberg_reduce", "svd_small", "sigma_min_shifted", "lu_factor",
-    "lu_solve",
+    "sigma_min_shifted", "lu_factor",
     "LinearOperator", "MatrixSpec", "OperatorError", "MatrixMarketError",
     "build_operator", "parse_matrix_token", "read_matrix_market",
     "BasisBreakdown", "rgs",

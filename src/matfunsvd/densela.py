@@ -22,14 +22,11 @@ __all__ = [
     "EigenSolveError",
     "FactorizationError",
     "EigDecomp",
-    "hessenberg_reduce",
     "eig_dense",
-    "svd_small",
     "sigma_min_shifted",
     "dense_matfun",
     "Factorization",
     "lu_factor",
-    "lu_solve",
 ]
 
 
@@ -50,13 +47,6 @@ def _as_square(H, name="H"):
     if not np.all(np.isfinite(H)):
         raise ValueError(f"{name} contains non-finite entries")
     return H
-
-
-def hessenberg_reduce(H):
-    """Unitary reduction to upper Hessenberg form: Q^H H Q = H_hess."""
-    H = _as_square(H)
-    hess, q = scipy.linalg.hessenberg(H, calc_q=True, check_finite=False)
-    return q, hess
 
 
 @dataclass
@@ -81,19 +71,6 @@ def eig_dense(H):
     norms[norms == 0.0] = 1.0
     vr = vr / norms
     return EigDecomp(np.asarray(w, dtype=complex), vr)
-
-
-def svd_small(B):
-    """Full SVD of a small dense (possibly rectangular) matrix.
-
-    Returns ``(U, s, Vh)`` with singular values descending.
-    """
-    B = np.asarray(B)
-    if B.ndim != 2:
-        raise ValueError("svd_small expects a 2-d array")
-    if not np.all(np.isfinite(B)):
-        raise ValueError("svd_small input contains non-finite entries")
-    return scipy.linalg.svd(B, full_matrices=False, check_finite=False)
 
 
 def sigma_min_shifted(M, theta):
@@ -328,8 +305,3 @@ def lu_factor(data, structure_tag, bandwidths=None):
     if structure_tag == "dense":
         return _DenseFactorization(data)
     raise ValueError(f"unknown structure tag {structure_tag!r}")
-
-
-def lu_solve(factorization, b, adjoint=False):
-    """Solve A x = b (or A^H x = b with adjoint=True) from a Factorization."""
-    return factorization.solve(b, adjoint=adjoint)

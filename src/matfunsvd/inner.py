@@ -1,15 +1,21 @@
 """Inner solver: Krylov approximation of f(A) v and f(A)^H u.
 
-Two subspace families are supported.  ``standard-krylov`` is Arnoldi with
-full (two-pass) reorthogonalization.  ``extended-krylov`` alternates
-multiplications by A with solves against A (one cached LU), building the
-space span{v, A^{-1}v, Av, A^{-2}v, ...}; its projected matrix comes from
-explicit projection P^H (A P).
+One loop serves both subspace families.  A family only builds the
+orthonormal basis P and the projected matrix H one column at a time; at
+step k the loop forms the iterate z_k = P_k f(H_k) e1 ||v|| and tests it.
 
-Convergence uses the lagged iterate estimator: with omega_{k} =
-||z_k - z_{k-lag}|| / ||z_{k-lag}||, the iteration stops once
-omega/(1-omega) <= eps_inner and returns the *lagged* iterate z_{k-lag}
-together with err_estimate = omega/(1-omega) * ||z_{k-lag}||.  The
+- ``standard-krylov`` is Arnoldi with two-pass Gram-Schmidt: column k is
+  A times column k-1.
+- ``extended-krylov`` spans {v, A^{-1}v, Av, A^{-2}v, A^2 v, A^{-3}v, ...}
+  from one cached LU: an odd column is a solve against, and an even one a
+  product with, the column two before it (column 0 for the first of each).
+  Its projected matrix is the explicit projection P^H (A P).
+
+Convergence uses the lagged iterate estimator with a fixed lag of 2: with
+omega_k = ||z_k - z_{k-2}|| / ||z_{k-2}||, the iteration stops once
+omega/(1-omega) <= eps_inner and returns the *lagged* iterate z_{k-2}
+together with err_estimate = omega/(1-omega) * ||z_{k-2}||.  When the
+basis breaks down the space is invariant and the iterate is exact.  The
 estimator can stagnate on slowly converging spectra; omega_history is
 exposed so callers can inspect it.
 """
@@ -25,6 +31,7 @@ from .orth import BasisBreakdown, rgs
 __all__ = ["InnerConfig", "InnerResult", "approx_fAv"]
 
 _METHODS = ("standard-krylov", "extended-krylov")
+_LAG = 2
 
 
 @dataclass(frozen=True)
@@ -33,21 +40,15 @@ class InnerConfig:
 
     eps_inner: float
     method: str = "standard-krylov"
-    lag: int = 2
     max_dim: int = 300
-    reorth: str = "full"
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if not (0.0 < self.eps_inner <= 1.0):
             raise ValueError(f"eps_inner must lie in (0, 1], got {self.eps_inner}")
-        if self.lag < 1:
-            raise ValueError("lag must be >= 1")
-        if self.max_dim <= self.lag:
-            raise ValueError("max_dim must exceed lag")
-        if self.reorth != "full":
-            raise ValueError("only full reorthogonalization is implemented")
+        if self.max_dim <= _LAG:
+            raise ValueError(f"max_dim must exceed the lag {_LAG}")
 
 
 @dataclass
@@ -73,9 +74,68 @@ def _f_column(H, f, scale):
     return F[:, 0] * scale
 
 
+def _arnoldi(A, v1, max_dim, adjoint):
+    """Standard Krylov basis; expand(k) adds column k from A times column k-1."""
+    apply = A.apply_adjoint if adjoint else A.apply
+    P = np.empty((A.n, max_dim + 1), dtype=v1.dtype)
+    P[:, 0] = v1
+    H = np.zeros((max_dim + 1, max_dim), dtype=v1.dtype)
+
+    def expand(k):
+        try:
+            q, coeffs = rgs(apply(P[:, k - 1]), P[:, :k])
+        except BasisBreakdown as bd:
+            # A maps the k columns into their own span: H[:k, :k] is complete
+            H[:k, k - 1] = bd.coeffs[:k]
+            return k, True
+        H[: k + 1, k - 1] = coeffs
+        P[:, k] = q
+        return k, False
+
+    return P, H, expand
+
+
+def _extended(A, v1, max_dim, adjoint):
+    """Extended Krylov basis; expand(k) adds column k-1 by a solve or a product."""
+    apply = A.apply_adjoint if adjoint else A.apply
+    fact = A.factorization()
+    P = np.empty((A.n, max_dim + 1), dtype=v1.dtype)
+    W = np.empty_like(P)  # W[:, i] = A @ P[:, i]
+    H = np.zeros((max_dim + 1, max_dim + 1), dtype=v1.dtype)
+    P[:, 0] = v1
+    W[:, 0] = apply(v1)
+    H[0, 0] = np.vdot(v1, W[:, 0]) if v1.dtype.kind == "c" else v1 @ W[:, 0]
+
+    def expand(k):
+        c = k - 1
+        if c == 0:
+            return k, False
+        seed = max(c - 2, 0)
+        w = fact.solve(P[:, seed], adjoint=adjoint) if c % 2 else W[:, seed]
+        try:
+            q, _ = rgs(w, P[:, :c])
+        except BasisBreakdown:
+            # the c columns span a space invariant under A and A^{-1}
+            return c, True
+        P[:, c] = q
+        W[:, c] = apply(q)
+        H[:k, c] = P[:, :k].conj().T @ W[:, c]
+        H[c, :c] = q.conj() @ W[:, :c]
+        return k, False
+
+    return P, H, expand
+
+
 def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
                keep_basis=False) -> InnerResult:
-    """Approximate f(A) v (or f(A)^H u = f(A^H) u with adjoint=True)."""
+    """Approximate f(A) v (or f(A)^H u = f(A^H) u with adjoint=True).
+
+    Step k completes the projected matrix H_k of the chosen family and forms
+    z_k = P_k f(H_k) e1 ||v||.  A basis breakdown returns that iterate as
+    exact (err_estimate 0).  From k = 3 on, z_k is compared with z_{k-2};
+    the loop returns z_{k-2} once omega/(1-omega) <= eps_inner, and the last
+    iterate unconverged after min(max_dim, n) steps.
+    """
     v = np.asarray(v)
     nrm0 = float(np.linalg.norm(v))
     if nrm0 == 0.0:
@@ -84,139 +144,33 @@ def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
     if dtype.kind != "c":
         dtype = np.float64
     v1 = (v / nrm0).astype(dtype)
-
-    if cfg.method == "standard-krylov":
-        return _standard(A, f, v1, nrm0, cfg, adjoint, keep_basis)
-    return _extended(A, f, v1, nrm0, cfg, adjoint, keep_basis)
-
-
-def _finish(z, err, dims, omegas, converged, breakdown, basis, keep_basis):
-    return InnerResult(
-        vector=z, err_estimate=float(err), dims_used=dims,
-        omega_history=omegas, converged=converged, breakdown=breakdown,
-        basis=(None if not keep_basis else basis.copy()))
-
-
-def _omega_test(ring, k, lag, eps, omegas):
-    """Return (converged, z_lagged, estimate) using the iterate ring buffer."""
-    z_new = ring[k % (lag + 1)]
-    z_old = ring[(k - lag) % (lag + 1)]
-    denom = float(np.linalg.norm(z_old))
-    if denom == 0.0:
-        omegas.append(np.inf)
-        return False, None, np.inf
-    omega = float(np.linalg.norm(z_new - z_old)) / denom
-    omegas.append(omega)
-    if omega < 1.0 and omega / (1.0 - omega) <= eps:
-        return True, z_old, omega / (1.0 - omega) * denom
-    return False, None, np.inf
-
-
-def _standard(A, f, v1, nrm0, cfg, adjoint, keep_basis):
-    apply = A.apply_adjoint if adjoint else A.apply
-    n = A.n
-    max_dim = min(cfg.max_dim, n)
-    lag = cfg.lag
-
-    P = np.empty((n, max_dim + 1), dtype=v1.dtype)
-    P[:, 0] = v1
-    H = np.zeros((max_dim + 1, max_dim), dtype=v1.dtype)
-    ring = [None] * (lag + 1)
+    max_dim = min(cfg.max_dim, A.n)
+    build = _arnoldi if cfg.method == "standard-krylov" else _extended
+    P, H, expand = build(A, v1, max_dim, adjoint)
+    ring = [None] * (_LAG + 1)
     omegas: list = []
 
-    for k in range(1, max_dim + 1):
-        # extend the recurrence first so H[:k, :k] is complete for z_k
-        w = apply(P[:, k - 1])
-        try:
-            q, coeffs = rgs(w, P[:, :k])
-        except BasisBreakdown as bd:
-            H[:k, k - 1] = bd.coeffs[:k]
-            z = P[:, :k] @ _f_column(H[:k, :k], f, nrm0)
-            return _finish(z, 0.0, k, omegas, True, True, P[:, :k], keep_basis)
-        H[: k + 1, k - 1] = coeffs
-        P[:, k] = q
-
-        z_k = P[:, :k] @ _f_column(H[:k, :k], f, nrm0)
-        ring[k % (lag + 1)] = z_k
-        if k > lag:
-            done, z_old, est = _omega_test(ring, k, lag, cfg.eps_inner, omegas)
-            if done:
-                return _finish(z_old, est, k, omegas, True, False,
-                               P[:, :k], keep_basis)
-
-    z_last = ring[max_dim % (lag + 1)]
-    est = omegas[-1] / (1.0 - omegas[-1]) * np.linalg.norm(z_last) \
-        if omegas and omegas[-1] < 1.0 else np.inf
-    return _finish(z_last, est, max_dim, omegas, False, False,
-                   P[:, :max_dim], keep_basis)
-
-
-def _extended(A, f, v1, nrm0, cfg, adjoint, keep_basis):
-    apply = A.apply_adjoint if adjoint else A.apply
-    fact = A.factorization()
-
-    def solve(b):
-        return fact.solve(b, adjoint=adjoint)
-
-    n = A.n
-    max_dim = min(cfg.max_dim, n)
-    lag = cfg.lag
-    dtype = np.promote_types(v1.dtype, np.float64 if fact.dtype == np.float64
-                             else np.complex128)
-
-    P = np.empty((n, max_dim + 1), dtype=dtype)
-    W = np.empty((n, max_dim + 1), dtype=dtype)  # W[:, i] = A @ P[:, i]
-    H = np.zeros((max_dim + 1, max_dim + 1), dtype=dtype)
-    P[:, 0] = v1
-    W[:, 0] = apply(v1)
-    H[0, 0] = np.vdot(v1, W[:, 0]) if dtype.kind == "c" else v1 @ W[:, 0]
-
-    seed_mult = 0   # column index whose A-image spawns the next A-direction
-    seed_solve = 0  # column index feeding the next A^{-1}-direction
-    ring = [None] * (lag + 1)
-    omegas: list = []
-
-    def grow(idx, w_raw):
-        """Orthonormalize w_raw as column idx; update W and the projection."""
-        q, coeffs = rgs(w_raw, P[:, :idx])  # may raise BasisBreakdown
-        P[:, idx] = q
-        W[:, idx] = apply(q)
-        Pm = P[:, : idx + 1]
-        H[: idx + 1, idx] = Pm.conj().T @ W[:, idx]
-        H[idx, :idx] = q.conj() @ W[:, :idx]
+    def finish(z, err, d, converged, breakdown):
+        return InnerResult(
+            vector=z, err_estimate=float(err), dims_used=d,
+            omega_history=omegas, converged=converged, breakdown=breakdown,
+            basis=P[:, :d].copy() if keep_basis else None)
 
     for k in range(1, max_dim + 1):
-        z_k = P[:, :k] @ _f_column(H[:k, :k], f, nrm0)
-        ring[k % (lag + 1)] = z_k
-        if k > lag:
-            done, z_old, est = _omega_test(ring, k, lag, cfg.eps_inner, omegas)
-            if done:
-                return _finish(z_old, est, k, omegas, True, False,
-                               P[:, :k], keep_basis)
-        if k == max_dim:
-            break
-        # expansion order: v, A^{-1} v, then alternate A / A^{-1} chains
-        # (grow at odd k extends the solve chain: columns 1, 3, 5, ...)
-        if k % 2 == 1:
-            w_raw = solve(P[:, seed_solve])
-            kind = "solve"
-        else:
-            w_raw = W[:, seed_mult]
-            kind = "mult"
-        try:
-            grow(k, w_raw)
-        except BasisBreakdown:
-            # the reached subspace is invariant (for A and A^{-1} alike), so
-            # the current iterate is exact
-            return _finish(ring[k % (lag + 1)], 0.0, k, omegas, True, True,
-                           P[:, :k], keep_basis)
-        if kind == "solve":
-            seed_solve = k
-        else:
-            seed_mult = k
+        d, invariant = expand(k)
+        z = P[:, :d] @ _f_column(H[:d, :d], f, nrm0)
+        if invariant:
+            return finish(z, 0.0, d, True, True)
+        ring[k % (_LAG + 1)] = z
+        if k <= _LAG:
+            continue
+        z_old = ring[(k - _LAG) % (_LAG + 1)]
+        denom = float(np.linalg.norm(z_old))
+        omega = float(np.linalg.norm(z - z_old)) / denom if denom else np.inf
+        omegas.append(omega)
+        if omega < 1.0 and omega / (1.0 - omega) <= cfg.eps_inner:
+            return finish(z_old, omega / (1.0 - omega) * denom, k, True, False)
 
-    z_last = ring[max_dim % (lag + 1)]
-    est = omegas[-1] / (1.0 - omegas[-1]) * np.linalg.norm(z_last) \
+    est = omegas[-1] / (1.0 - omegas[-1]) * np.linalg.norm(z) \
         if omegas and omegas[-1] < 1.0 else np.inf
-    return _finish(z_last, est, max_dim, omegas, False, False,
-                   P[:, :max_dim], keep_basis)
+    return finish(z, est, max_dim, False, False)

@@ -67,7 +67,6 @@ class LinearOperator:
                 mat = mat.astype(np.float64)
             self._mat = mat
             self._adj = mat.conj().T.tocsr()
-            self.frob_norm = float(np.linalg.norm(mat.data)) if mat.nnz else 0.0
         else:
             mat = np.asarray(matrix)
             mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64)
@@ -75,7 +74,6 @@ class LinearOperator:
                 raise OperatorError("operator matrix must be square")
             self._mat = mat
             self._adj = mat.conj().T.copy()
-            self.frob_norm = float(np.linalg.norm(mat))
         if self._mat.shape[0] != self._mat.shape[1]:
             raise OperatorError("operator matrix must be square")
         self.n = self._mat.shape[0]

@@ -66,7 +66,6 @@ class InnerPolicy:
     """Run-level recipe for inner tolerances and the subspace method."""
 
     method: str = "standard-krylov"
-    lag: int = 2
     max_dim: int = 300
     relax: bool = False
     eps_inner: float | None = None  # explicit fixed override
@@ -352,7 +351,7 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
             eps_k = relax.next_tolerance(k, prev[0], prev[1], prev[2],
                                          eps_out, m_max)
         cfg = InnerConfig(eps_inner=eps_k, method=policy.method,
-                          lag=policy.lag, max_dim=policy.max_dim)
+                          max_dim=policy.max_dim)
         try:
             info = bidiag_step(state, A, f, cfg)
         except DomainError as exc:

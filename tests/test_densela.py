@@ -1,4 +1,4 @@
-"""Dense kernels: Hessenberg reduction, eig/SVD wrappers, f(H), structured LU."""
+"""Dense kernels: eig and shifted-sigma wrappers, f(H), structured LU."""
 
 import numpy as np
 import numpy.testing as npt
@@ -10,11 +10,8 @@ from matfunsvd import (
     dense_matfun,
     eig_dense,
     get_function,
-    hessenberg_reduce,
     lu_factor,
-    lu_solve,
     sigma_min_shifted,
-    svd_small,
 )
 from matfunsvd.densela import FactorizationError
 
@@ -30,17 +27,7 @@ def random_matrix(n, seed, complex_=False):
 
 
 # ---------------------------------------------------------------------------
-# hessenberg / eig / svd
-
-
-@pytest.mark.parametrize("n,seed,cplx", [(6, 0, False), (12, 1, True), (25, 2, False)])
-def test_hessenberg_reduce_contract(n, seed, cplx):
-    A = random_matrix(n, seed, cplx)
-    Q, H = hessenberg_reduce(A)
-    npt.assert_allclose(Q.conj().T @ Q, np.eye(n), atol=1e-13)
-    # zero below the first subdiagonal
-    npt.assert_allclose(np.tril(H, -2), 0.0, atol=1e-13 * np.linalg.norm(A))
-    npt.assert_allclose(Q @ H @ Q.conj().T, A, atol=1e-12 * np.linalg.norm(A))
+# eig / shifted sigma
 
 
 @pytest.mark.parametrize("n,seed", [(5, 3), (20, 4), (40, 5)])
@@ -53,19 +40,6 @@ def test_eig_dense_residuals(n, seed):
         npt.assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-12)
         resid = np.linalg.norm(A @ v - dec.values[i] * v)
         assert resid <= 1e3 * n * np.finfo(float).eps * scale
-
-
-def test_svd_small_cross_checks():
-    rng = np.random.default_rng(6)
-    for shape in ((7, 7), (9, 4), (3, 8)):
-        B = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        U, s, Vh = svd_small(B)
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        npt.assert_allclose(U @ np.diag(s) @ Vh, B, atol=1e-12 * s[0])
-        # singular values squared are the Hermitian eigenvalues of B^H B
-        lam = np.linalg.eigvalsh(B.conj().T @ B)[::-1]
-        k = min(shape)
-        npt.assert_allclose(s[:k] ** 2, np.maximum(lam[:k], 0.0), atol=1e-10 * s[0] ** 2)
 
 
 def test_sigma_min_shifted_matches_svd():
@@ -215,9 +189,9 @@ def test_lu_factor_solve_all_structures(structure):
     fac = lu_factor(A, structure, bandwidths=bw)
     for seed in range(3):
         b = np.random.default_rng(seed).standard_normal(n)
-        x = lu_solve(fac, b)
+        x = fac.solve(b)
         npt.assert_allclose(Ad @ x, b, atol=1e-10 * np.linalg.norm(b))
-        y = lu_solve(fac, b, adjoint=True)
+        y = fac.solve(b, adjoint=True)
         npt.assert_allclose(Ad.conj().T @ y, b, atol=1e-10 * np.linalg.norm(b))
 
 
@@ -226,7 +200,7 @@ def test_lu_complex_adjoint_is_conjugate_transpose():
     A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)) + 8 * np.eye(12)
     fac = lu_factor(A, "dense")
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    npt.assert_allclose(A.conj().T @ lu_solve(fac, b, adjoint=True), b, atol=1e-11)
+    npt.assert_allclose(A.conj().T @ fac.solve(b, adjoint=True), b, atol=1e-11)
 
 
 def test_lu_singular_matrix_raises():

@@ -43,6 +43,53 @@ def test_invariant_start_vector_eksm_breakdown():
     npt.assert_allclose(res.vector, [np.sqrt(2.0), 0.0, 0.0], rtol=1e-14)
 
 
+@pytest.mark.parametrize("method", ["standard-krylov", "extended-krylov"])
+def test_two_column_invariant_subspace_is_exact(method):
+    lam = np.array([2.0, 3.0, 5.0, 7.0])
+    A = oracles.make_operator_from_dense(np.diag(lam))
+    v = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    res = approx_fAv(A, get_function("sqrt"), v,
+                     InnerConfig(eps_inner=1e-8, method=method))
+    assert res.breakdown and res.converged
+    assert res.dims_used == 2
+    assert res.err_estimate == 0.0
+    want = np.sqrt(lam) * v
+    assert np.linalg.norm(res.vector - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_extended_expansion_order():
+    # the first k basis columns span the first k of
+    # {v, A^{-1}v, Av, A^{-2}v, A^2 v, A^{-3}v}
+    lam = np.linspace(1.0, 4.0, 12)
+    A = oracles.make_operator_from_dense(np.diag(lam))
+    v = np.ones(12)
+    res = approx_fAv(A, get_function("exp"), v,
+                     InnerConfig(eps_inner=1e-15, method="extended-krylov",
+                                 max_dim=6), keep_basis=True)
+    B = res.basis
+    assert B.shape[1] == 6
+    K = np.column_stack([lam ** p * v for p in (0, -1, 1, -2, 2, -3)])
+    for k in range(1, 7):
+        Bk = B[:, :k]
+        for j in range(k):
+            resid = K[:, j] - Bk @ (Bk.conj().T @ K[:, j])
+            assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(K[:, j])
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_extended_complex_start_vector_on_real_operator(adjoint):
+    A = op("A2:n=100")
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+    v /= np.linalg.norm(v)
+    res = approx_fAv(A, get_function("invsqrt"), v,
+                     InnerConfig(eps_inner=1e-10, method="extended-krylov"),
+                     adjoint=adjoint)
+    assert res.converged and np.iscomplexobj(res.vector)
+    want = true_apply(A.to_dense(), "invsqrt", v, adjoint=adjoint)
+    assert np.linalg.norm(res.vector - want) <= 1e-8 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("fid", oracles.FUNCTION_IDS)
 def test_standard_krylov_matches_dense_oracle(fid):
     A = op("A2:n=100")
@@ -146,8 +193,4 @@ def test_input_validation():
     with pytest.raises(ValueError):
         InnerConfig(eps_inner=1e-8, method="rational-krylov")
     with pytest.raises(ValueError):
-        InnerConfig(eps_inner=1e-8, lag=0)
-    with pytest.raises(ValueError):
-        InnerConfig(eps_inner=1e-8, lag=5, max_dim=5)
-    with pytest.raises(ValueError):
-        InnerConfig(eps_inner=1e-8, reorth="none")
+        InnerConfig(eps_inner=1e-8, max_dim=2)
