@@ -117,7 +117,7 @@ def exp_norm_bound(A, sign=1, tol=1e-6, max_iters=400, seed=0):
     q = rng.standard_normal(n)
     q = (q / np.linalg.norm(q)).astype(np.promote_types(A.dtype, np.float64))
     steps = min(max_iters, n)
-    Q = np.zeros((n, steps), dtype=q.dtype)
+    Q = np.zeros((n, steps), dtype=q.dtype, order="F")
     Q[:, 0] = q
     alphas: list = []
     betas: list = []

@@ -2,7 +2,10 @@
 
 One loop serves both subspace families.  A family only builds the
 orthonormal basis P and the projected matrix H one column at a time; at
-step k the loop forms the iterate z_k = P_k f(H_k) e1 ||v|| and tests it.
+step k the loop computes the coefficient vector c_k = f(H_k) e1 ||v|| of
+the iterate z_k = P_k c_k and tests it.  Both bases are stored
+column-major, so each column and each leading block P_k is one contiguous
+stretch of memory.
 
 - ``standard-krylov`` is Arnoldi with two-pass Gram-Schmidt: column k is
   A times column k-1.
@@ -11,13 +14,17 @@ step k the loop forms the iterate z_k = P_k f(H_k) e1 ||v|| and tests it.
   product with, the column two before it (column 0 for the first of each).
   Its projected matrix is the explicit projection P^H (A P).
 
-Convergence uses the lagged iterate estimator with a fixed lag of 2: with
-omega_k = ||z_k - z_{k-2}|| / ||z_{k-2}||, the iteration stops once
-omega/(1-omega) <= eps_inner and returns the *lagged* iterate z_{k-2}
-together with err_estimate = omega/(1-omega) * ||z_{k-2}||.  When the
-basis breaks down the space is invariant and the iterate is exact.  The
-estimator can stagnate on slowly converging spectra; omega_history is
-exposed so callers can inspect it.
+Convergence uses the lagged iterate estimator with a fixed lag of 2:
+omega_k = ||z_k - z_{k-2}|| / ||z_{k-2}||.  The columns of P are
+orthonormal and P_{k-2} is the leading block of P_k, so
+z_k - z_{k-2} = P_k (c_k - [c_{k-2}; 0; 0]) and ||z_{k-2}|| = ||c_{k-2}||:
+omega is computed on the short coefficient vectors and no n-vector is
+formed inside the loop.  The iteration stops once omega/(1-omega) <=
+eps_inner and returns the *lagged* iterate z_{k-2} together with
+err_estimate = omega/(1-omega) * ||z_{k-2}||.  When the basis breaks down
+the space is invariant and the iterate is exact.  The one n-vector
+returned, P_d c, is formed on exit.  The estimator can stagnate on slowly
+converging spectra; omega_history is exposed so callers can inspect it.
 """
 
 from dataclasses import dataclass, field
@@ -77,7 +84,7 @@ def _f_column(H, f, scale):
 def _arnoldi(A, v1, max_dim, adjoint):
     """Standard Krylov basis; expand(k) adds column k from A times column k-1."""
     apply = A.apply_adjoint if adjoint else A.apply
-    P = np.empty((A.n, max_dim + 1), dtype=v1.dtype)
+    P = np.empty((A.n, max_dim + 1), dtype=v1.dtype, order="F")
     P[:, 0] = v1
     H = np.zeros((max_dim + 1, max_dim), dtype=v1.dtype)
 
@@ -99,8 +106,8 @@ def _extended(A, v1, max_dim, adjoint):
     """Extended Krylov basis; expand(k) adds column k-1 by a solve or a product."""
     apply = A.apply_adjoint if adjoint else A.apply
     fact = A.factorization()
-    P = np.empty((A.n, max_dim + 1), dtype=v1.dtype)
-    W = np.empty_like(P)  # W[:, i] = A @ P[:, i]
+    P = np.empty((A.n, max_dim + 1), dtype=v1.dtype, order="F")
+    W = np.empty_like(P)  # W[:, i] = A @ P[:, i], column-major like P
     H = np.zeros((max_dim + 1, max_dim + 1), dtype=v1.dtype)
     P[:, 0] = v1
     W[:, 0] = apply(v1)
@@ -130,11 +137,16 @@ def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
                keep_basis=False) -> InnerResult:
     """Approximate f(A) v (or f(A)^H u = f(A^H) u with adjoint=True).
 
-    Step k completes the projected matrix H_k of the chosen family and forms
-    z_k = P_k f(H_k) e1 ||v||.  A basis breakdown returns that iterate as
-    exact (err_estimate 0).  From k = 3 on, z_k is compared with z_{k-2};
-    the loop returns z_{k-2} once omega/(1-omega) <= eps_inner, and the last
-    iterate unconverged after min(max_dim, n) steps.
+    Step k completes the projected matrix H_k of the chosen family and
+    computes the coefficients c_k = f(H_k) e1 ||v|| of the iterate
+    z_k = P_k c_k.  A basis breakdown returns that iterate as exact
+    (err_estimate 0).  From k = 3 on, omega_k = ||z_k - z_{k-2}|| /
+    ||z_{k-2}|| is evaluated as ||c_k - [c_{k-2}; 0; 0]|| / ||c_{k-2}||,
+    which is equal because P has orthonormal columns and P_{k-2} is the
+    leading block of P_k.  The loop returns z_{k-2} once
+    omega/(1-omega) <= eps_inner, and the last iterate unconverged after
+    min(max_dim, n) steps.  On each exit the returned n-vector is formed
+    once, as P_d c.
     """
     v = np.asarray(v)
     nrm0 = float(np.linalg.norm(v))
@@ -150,27 +162,31 @@ def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
     ring = [None] * (_LAG + 1)
     omegas: list = []
 
-    def finish(z, err, d, converged, breakdown):
+    def finish(c, err, d, converged, breakdown):
         return InnerResult(
-            vector=z, err_estimate=float(err), dims_used=d,
-            omega_history=omegas, converged=converged, breakdown=breakdown,
+            vector=P[:, : c.shape[0]] @ c, err_estimate=float(err),
+            dims_used=d, omega_history=omegas, converged=converged,
+            breakdown=breakdown,
             basis=P[:, :d].copy() if keep_basis else None)
 
     for k in range(1, max_dim + 1):
         d, invariant = expand(k)
-        z = P[:, :d] @ _f_column(H[:d, :d], f, nrm0)
+        c = _f_column(H[:d, :d], f, nrm0)
         if invariant:
-            return finish(z, 0.0, d, True, True)
-        ring[k % (_LAG + 1)] = z
+            return finish(c, 0.0, d, True, True)
+        ring[k % (_LAG + 1)] = c
         if k <= _LAG:
             continue
-        z_old = ring[(k - _LAG) % (_LAG + 1)]
-        denom = float(np.linalg.norm(z_old))
-        omega = float(np.linalg.norm(z - z_old)) / denom if denom else np.inf
+        c_old = ring[(k - _LAG) % (_LAG + 1)]
+        m = c_old.shape[0]
+        denom = float(np.linalg.norm(c_old))
+        # ||c - [c_old; 0]|| without forming the padded vector
+        diff = np.hypot(np.linalg.norm(c[:m] - c_old), np.linalg.norm(c[m:]))
+        omega = float(diff) / denom if denom else np.inf
         omegas.append(omega)
         if omega < 1.0 and omega / (1.0 - omega) <= cfg.eps_inner:
-            return finish(z_old, omega / (1.0 - omega) * denom, k, True, False)
+            return finish(c_old, omega / (1.0 - omega) * denom, k, True, False)
 
-    est = omegas[-1] / (1.0 - omegas[-1]) * np.linalg.norm(z) \
+    est = omegas[-1] / (1.0 - omegas[-1]) * np.linalg.norm(c) \
         if omegas and omegas[-1] < 1.0 else np.inf
-    return finish(z, est, max_dim, False, False)
+    return finish(c, est, max_dim, False, False)

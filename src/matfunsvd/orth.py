@@ -58,10 +58,14 @@ def rgs(z, basis=None):
 
 
 class GrowingBasis:
-    """Column buffer with amortized growth; exposes a no-copy matrix view."""
+    """Column buffer with amortized growth; exposes a no-copy matrix view.
+
+    The buffer is column-major, so each column and the view of the first k
+    columns are contiguous in memory.
+    """
 
     def __init__(self, n, dtype, capacity=16):
-        self._buf = np.empty((n, capacity), dtype=dtype)
+        self._buf = np.empty((n, capacity), dtype=dtype, order="F")
         self._k = 0
 
     @property
@@ -71,7 +75,7 @@ class GrowingBasis:
     def append(self, col):
         if self._k == self._buf.shape[1]:
             bigger = np.empty((self._buf.shape[0], 2 * self._buf.shape[1]),
-                              dtype=self._buf.dtype)
+                              dtype=self._buf.dtype, order="F")
             bigger[:, : self._k] = self._buf
             self._buf = bigger
         self._buf[:, self._k] = col

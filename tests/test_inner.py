@@ -7,6 +7,7 @@ import pytest
 from matfunsvd import DomainError, InnerConfig, approx_fAv, build_operator, get_function
 from matfunsvd.operators import parse_matrix_token
 
+import matfunsvd.inner
 import oracles
 
 
@@ -162,6 +163,50 @@ def test_unconverged_run_is_flagged():
     assert res.dims_used == 8
     assert res.vector is not None and np.all(np.isfinite(res.vector))
     assert len(res.omega_history) > 0
+
+
+@pytest.mark.parametrize("method,fid", [("standard-krylov", "exp"),
+                                        ("extended-krylov", "invsqrt")])
+def test_coefficient_omega_matches_iterate_difference(method, fid):
+    # omega and the tail estimate come from coefficient vectors; recompute
+    # both from the returned n-vectors z_k of unconverged runs
+    A = op("A3:n=400")
+    v = unit(np.random.default_rng(5), 400)
+    z = {}
+    for k in range(3, 13):
+        res = approx_fAv(A, get_function(fid), v,
+                         InnerConfig(eps_inner=1e-15, method=method, max_dim=k))
+        assert not res.converged and res.dims_used == k
+        z[k] = res.vector
+        if k < 5:
+            continue
+        omega = np.linalg.norm(z[k] - z[k - 2]) / np.linalg.norm(z[k - 2])
+        npt.assert_allclose(res.omega_history[-1], omega, rtol=1e-12)
+        if omega < 1.0:
+            npt.assert_allclose(res.err_estimate,
+                                omega / (1.0 - omega) * np.linalg.norm(z[k]),
+                                rtol=1e-12)
+        else:
+            assert res.err_estimate == np.inf
+
+
+@pytest.mark.parametrize("method,fid", [("standard-krylov", "exp"),
+                                        ("extended-krylov", "invsqrt")])
+def test_bases_are_column_major(monkeypatch, method, fid):
+    flags = []
+    original = matfunsvd.inner.rgs
+
+    def recording_rgs(z, basis=None):
+        flags.append(basis.flags.f_contiguous)
+        return original(z, basis)
+
+    monkeypatch.setattr(matfunsvd.inner, "rgs", recording_rgs)
+    A = op("A3:n=400")
+    v = unit(np.random.default_rng(5), 400)
+    res = approx_fAv(A, get_function(fid), v,
+                     InnerConfig(eps_inner=1e-8, method=method))
+    assert res.converged
+    assert flags and all(flags)
 
 
 def test_projected_spectrum_on_cut_raises_with_context():

@@ -79,6 +79,7 @@ def test_growing_basis_view_and_growth():
     assert gb.k == 5
     npt.assert_array_equal(gb.matrix(), cols[:, :5])
     npt.assert_array_equal(gb.column(3), cols[:, 3])
+    assert gb.matrix().flags.f_contiguous
 
 
 # ---------------------------------------------------------------------------
