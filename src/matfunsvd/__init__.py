@@ -20,8 +20,8 @@ from .operators import (LinearOperator, MatrixMarketError, MatrixSpec,
                         read_matrix_market)
 from .orth import BasisBreakdown, rgs
 from .outer import (BidiagState, InexactnessLedger, InnerPolicy, RunReport,
-                    TripletEstimate, bidiag_step, build_khat, extract_leading,
-                    leading_eigenpair, run)
+                    TripletEstimate, bidiag_step, build_khat, leading_eigenpair,
+                    run)
 from .relax import TauDiagnostics, next_tolerance, verify_tau
 
 __version__ = "0.1.0"
@@ -36,8 +36,8 @@ __all__ = [
     "BasisBreakdown", "rgs",
     "InnerConfig", "InnerResult", "approx_fAv",
     "BidiagState", "InexactnessLedger", "InnerPolicy", "RunReport",
-    "TripletEstimate", "bidiag_step", "build_khat", "extract_leading",
-    "leading_eigenpair", "run",
+    "TripletEstimate", "bidiag_step", "build_khat", "leading_eigenpair",
+    "run",
     "next_tolerance", "TauDiagnostics", "verify_tau",
     "power_method", "ExpBoundResult", "exp_norm_bound",
 ]

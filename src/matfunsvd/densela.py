@@ -51,18 +51,22 @@ def _as_square(H, name="H"):
 
 @dataclass
 class EigDecomp:
-    values: np.ndarray          # (d,) complex
-    vectors: np.ndarray         # (d, d) complex, unit columns
+    values: np.ndarray               # (d,) complex
+    vectors: np.ndarray | None       # (d, d) complex, unit columns; or None
 
 
-def eig_dense(H):
-    """All eigenpairs of a small dense matrix.
+def eig_dense(H, vectors=True):
+    """All eigenvalues, and unless ``vectors=False`` the eigenvectors, of H.
 
     Backed by LAPACK's nonsymmetric solver (Hessenberg reduction, shifted QR
-    to Schur form, back-substitution for the eigenvectors).
+    to Schur form, back-substitution for the eigenvectors).  With
+    ``vectors=False`` no eigenvector is computed and ``vectors`` is None.
     """
     H = _as_square(H)
     try:
+        if not vectors:
+            w = scipy.linalg.eigvals(H, check_finite=False)
+            return EigDecomp(np.asarray(w, dtype=complex), None)
         w, vr = scipy.linalg.eig(H, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - QR stagnation
         raise EigenSolveError(f"QR eigenvalue iteration did not converge: {exc}") from exc
@@ -144,7 +148,7 @@ def dense_matfun(H, f: ScalarFunction):
 
     # distance of each eigenvalue to the closed ray (-inf, 0]; ||H||_F bounds
     # ||H||_2 from above, so the tolerance is never looser than a 2-norm one
-    lam = eig_dense(H).values
+    lam = eig_dense(H, vectors=False).values
     dist = np.where(lam.real <= 0.0, np.abs(lam.imag), np.abs(lam))
     bad = dist <= 1e-12 * float(np.linalg.norm(H))
     if np.any(bad):

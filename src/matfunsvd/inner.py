@@ -2,8 +2,8 @@
 
 One loop serves both subspace families.  A family only builds the
 orthonormal basis P and the projected matrix H one column at a time; at
-step k the loop computes the coefficient vector c_k = f(H_k) e1 ||v|| of
-the iterate z_k = P_k c_k and tests it.  Both bases are stored
+step k the loop may compute the coefficient vector c_k = f(H_k) e1 ||v||
+of the iterate z_k = P_k c_k and test it.  Both bases are stored
 column-major, so each column and each leading block P_k is one contiguous
 stretch of memory.
 
@@ -21,10 +21,19 @@ z_k - z_{k-2} = P_k (c_k - [c_{k-2}; 0; 0]) and ||z_{k-2}|| = ||c_{k-2}||:
 omega is computed on the short coefficient vectors and no n-vector is
 formed inside the loop.  The iteration stops once omega/(1-omega) <=
 eps_inner and returns the *lagged* iterate z_{k-2} together with
-err_estimate = omega/(1-omega) * ||z_{k-2}||.  When the basis breaks down
-the space is invariant and the iterate is exact.  The one n-vector
-returned, P_d c, is formed on exit.  The estimator can stagnate on slowly
-converging spectra; omega_history is exposed so callers can inspect it.
+err_estimate = omega/(1-omega) * ||z_{k-2}|| (an a posteriori estimate in
+the sense of Saad, SINUM 1992).  When the basis breaks down the space is
+invariant and the iterate is exact.  The one n-vector returned, P_d c, is
+formed on exit.  The estimator can stagnate on slowly converging spectra;
+omega_history is exposed so callers can inspect it.
+
+The dense f(H_k) costs O(k^3), so evaluating it at every k makes a solve
+of dimension d cost O(d^4).  The hint ``first_test`` is the step of the
+first omega test; the outer bidiagonalization sets it from the inner
+dimensions of its previous step.  f(H_k) is evaluated only from
+k = first_test - 2 (the lagged partner of that test) on, on a breakdown and
+at the last step.  Every evaluated H_k passes the domain guard of
+``densela.dense_matfun``; a skipped H_k produces nothing to guard.
 """
 
 from dataclasses import dataclass, field
@@ -134,19 +143,27 @@ def _extended(A, v1, max_dim, adjoint):
 
 
 def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
-               keep_basis=False) -> InnerResult:
+               keep_basis=False, first_test=_LAG + 1) -> InnerResult:
     """Approximate f(A) v (or f(A)^H u = f(A^H) u with adjoint=True).
 
-    Step k completes the projected matrix H_k of the chosen family and
-    computes the coefficients c_k = f(H_k) e1 ||v|| of the iterate
-    z_k = P_k c_k.  A basis breakdown returns that iterate as exact
-    (err_estimate 0).  From k = 3 on, omega_k = ||z_k - z_{k-2}|| /
-    ||z_{k-2}|| is evaluated as ||c_k - [c_{k-2}; 0; 0]|| / ||c_{k-2}||,
-    which is equal because P has orthonormal columns and P_{k-2} is the
-    leading block of P_k.  The loop returns z_{k-2} once
-    omega/(1-omega) <= eps_inner, and the last iterate unconverged after
-    min(max_dim, n) steps.  On each exit the returned n-vector is formed
-    once, as P_d c.
+    Step k completes the projected matrix H_k of the chosen family.  The
+    first omega test runs at k = first_test, clamped to at most
+    min(max_dim, n) and at least 3; the default tests from k = 3 on, and the
+    outer bidiagonalization passes the smaller inner dimension of its
+    previous step minus 2.  The coefficients c_k = f(H_k) e1 ||v|| of the
+    iterate z_k = P_k c_k are computed from k = first_test - 2 on, on a
+    basis breakdown and at the last step; below that only the basis grows.
+    A basis breakdown returns its iterate as exact (err_estimate 0).  From
+    k = first_test on, omega_k = ||z_k - z_{k-2}|| / ||z_{k-2}|| is
+    evaluated as ||c_k - [c_{k-2}; 0; 0]|| / ||c_{k-2}||, which is equal
+    because P has orthonormal columns and P_{k-2} is the leading block of
+    P_k.  The loop returns z_{k-2} once omega/(1-omega) <= eps_inner, and
+    the last iterate unconverged after min(max_dim, n) steps.  A hint above
+    the step where the test would first pass returns a later, more accurate
+    z_{k-2}; dims_used still counts every column built.  Every f(H_k) that
+    is computed raises DomainError when H_k hits the excluded set of f; a
+    skipped H_k is never evaluated, so it is never checked.  On each exit
+    the returned n-vector is formed once, as P_d c.
     """
     v = np.asarray(v)
     nrm0 = float(np.linalg.norm(v))
@@ -157,6 +174,7 @@ def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
         dtype = np.float64
     v1 = (v / nrm0).astype(dtype)
     max_dim = min(cfg.max_dim, A.n)
+    first_test = max(min(first_test, max_dim), _LAG + 1)
     build = _arnoldi if cfg.method == "standard-krylov" else _extended
     P, H, expand = build(A, v1, max_dim, adjoint)
     ring = [None] * (_LAG + 1)
@@ -171,11 +189,13 @@ def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
 
     for k in range(1, max_dim + 1):
         d, invariant = expand(k)
+        if k < first_test - _LAG and not invariant:
+            continue
         c = _f_column(H[:d, :d], f, nrm0)
         if invariant:
             return finish(c, 0.0, d, True, True)
         ring[k % (_LAG + 1)] = c
-        if k <= _LAG:
+        if k < first_test:
             continue
         c_old = ring[(k - _LAG) % (_LAG + 1)]
         m = c_old.shape[0]

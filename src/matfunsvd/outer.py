@@ -26,7 +26,7 @@ import numpy as np
 from . import relax
 from .densela import eig_dense
 from .functions import DomainError, ScalarFunction
-from .inner import InnerConfig, approx_fAv
+from .inner import _LAG, InnerConfig, approx_fAv
 from .orth import BasisBreakdown, GrowingBasis, rgs
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "rgs",
     "bidiag_step",
     "build_khat",
-    "extract_leading",
     "leading_eigenpair",
     "run",
 ]
@@ -77,6 +76,13 @@ class InnerPolicy:
 
 @dataclass
 class TripletEstimate:
+    """One singular triplet estimate (theta, left, right) with its residuals.
+
+    ``run`` returns ``left`` and ``right`` as unit n-vectors in span(U) and
+    span(V).  During the loop ``_extract`` stores only their coefficient
+    vectors in those bases; ``run`` lifts them to n-vectors once, on exit.
+    """
+
     theta: float
     left: np.ndarray
     right: np.ndarray
@@ -103,6 +109,9 @@ class BidiagState:
         self._tcols: list = []  # column j: j projections + next-coefficient
         self.ledger = InexactnessLedger()
         self.exhausted = False  # right basis cannot be extended further
+        # step of the first lagged test in the next inner solves: the
+        # smaller inner dimension of the last step minus the lag
+        self.first_test = _LAG + 1
 
     @property
     def M(self):
@@ -140,7 +149,8 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction,
     j = state.j + 1
     v_j = state.V.column(j - 1)
 
-    r1 = approx_fAv(A, f, v_j, inner_cfg, adjoint=False)
+    r1 = approx_fAv(A, f, v_j, inner_cfg, adjoint=False,
+                    first_test=state.first_test)
     try:
         u_j, m_coeffs = rgs(r1.vector, state.U.matrix())
     except BasisBreakdown:
@@ -150,7 +160,8 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction,
                         inner_converged=r1.converged)
     state.U.append(u_j)
 
-    r2 = approx_fAv(A, f, u_j, inner_cfg, adjoint=True)
+    r2 = approx_fAv(A, f, u_j, inner_cfg, adjoint=True,
+                    first_test=state.first_test)
     try:
         v_next, t_coeffs = rgs(r2.vector, state.V.matrix())
     except BasisBreakdown as bd:
@@ -159,6 +170,7 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction,
         t_coeffs, v_next = bd.coeffs, None
         state.exhausted = True
 
+    state.first_test = min(r1.dims_used, r2.dims_used) - _LAG
     state._mcols.append(m_coeffs)
     state._tcols.append(t_coeffs)
     state.j = j
@@ -195,7 +207,12 @@ def _representatives(values):
 
 
 def _extract(state: BidiagState, num_triplets=1):
-    """Triplet estimates plus the leading gap delta (for the relax scheduler)."""
+    """Triplet estimates plus the leading gap delta (for the relax scheduler).
+
+    The estimates carry the unit coefficient vectors of their left and
+    right vectors in U and V (length j); ``run`` lifts them to n-vectors
+    once, on exit.
+    """
     j = state.j
     if j == 0:
         raise ValueError("cannot extract from an empty state")
@@ -205,8 +222,6 @@ def _extract(state: BidiagState, num_triplets=1):
     dec = eig_dense(K)
     order = _representatives(dec.values)
     t_next = state.t_next
-    Um = state.U.matrix()
-    Vm = state.V.matrix()[:, :j]
     g1 = np.asarray(state.ledger.g1)
     g2 = np.asarray(state.ledger.g2)
 
@@ -228,8 +243,8 @@ def _extract(state: BidiagState, num_triplets=1):
             rel_gap = np.nan
         xn = np.linalg.norm(x)
         yn = np.linalg.norm(y)
-        left = Um @ (x / xn) if xn > 0 else np.zeros(state.n, dtype=complex)
-        right = Vm @ (y / yn) if yn > 0 else np.zeros(state.n, dtype=complex)
+        left = x / xn if xn > 0 else np.zeros(j, dtype=complex)
+        right = y / yn if yn > 0 else np.zeros(j, dtype=complex)
         triplets.append(TripletEstimate(
             theta=theta, left=left, right=right,
             computed_residual=float(residual), gap_bound=gap,
@@ -244,12 +259,6 @@ def _extract(state: BidiagState, num_triplets=1):
         if others.size:
             delta = float(np.min(np.abs(others - lead)))
     return triplets, delta
-
-
-def extract_leading(state: BidiagState, num_triplets=1):
-    """Leading singular triplet estimates from the current projected problem."""
-    triplets, _ = _extract(state, num_triplets)
-    return triplets
 
 
 def leading_eigenpair(K):
@@ -377,6 +386,9 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
             break
         prev = (theta, delta, lead.computed_residual)
 
+    for t in triplets:  # coefficient vectors in U and V -> n-vectors
+        t.left = state.U.matrix()[:, : t.left.shape[0]] @ t.left
+        t.right = state.V.matrix()[:, : t.right.shape[0]] @ t.right
     wall = time.perf_counter() - t0
     outer = state.j
     sigma = triplets[0].theta if triplets else np.nan

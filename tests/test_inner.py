@@ -209,6 +209,90 @@ def test_bases_are_column_major(monkeypatch, method, fid):
     assert flags and all(flags)
 
 
+@pytest.mark.parametrize("method,fid", [("standard-krylov", "exp"),
+                                        ("extended-krylov", "invsqrt")])
+def test_first_test_at_or_below_return_is_bitwise_equal(monkeypatch, method, fid):
+    # below first_test - 2 only f(H_k) is skipped, and no skipped f(H_k)
+    # takes part in a test, so every hint up to the full scan's return
+    # gives the full scan's result
+    A = op("A3:n=400")
+    v = unit(np.random.default_rng(5), 400)
+    f = get_function(fid)
+    cfg = InnerConfig(eps_inner=1e-8, method=method)
+    full = approx_fAv(A, f, v, cfg)
+    assert full.converged and not full.breakdown
+    calls = []
+    original = matfunsvd.densela.dense_matfun
+
+    def counting_matfun(H, g):
+        calls.append(H.shape[0])
+        return original(H, g)
+
+    monkeypatch.setattr(matfunsvd.densela, "dense_matfun", counting_matfun)
+    for first_test in range(3, full.dims_used + 1):
+        calls.clear()
+        res = approx_fAv(A, f, v, cfg, first_test=first_test)
+        assert np.array_equal(res.vector, full.vector)
+        assert res.err_estimate == full.err_estimate
+        assert res.dims_used == full.dims_used
+        assert res.omega_history == full.omega_history[first_test - 3:]
+        assert len(calls) == full.dims_used - first_test + 3
+
+
+@pytest.mark.parametrize("method,fid", [("standard-krylov", "exp"),
+                                        ("extended-krylov", "invsqrt")])
+def test_first_test_above_return_converges_at_the_hint(method, fid):
+    A = op("A3:n=400")
+    v = unit(np.random.default_rng(5), 400)
+    f = get_function(fid)
+    cfg = InnerConfig(eps_inner=1e-8, method=method)
+    natural = approx_fAv(A, f, v, cfg).dims_used
+    res = approx_fAv(A, f, v, cfg, first_test=natural + 4)
+    assert res.converged and not res.breakdown
+    assert res.dims_used == natural + 4
+    assert res.err_estimate <= cfg.eps_inner * np.linalg.norm(res.vector)
+
+
+@pytest.mark.parametrize("method", ["standard-krylov", "extended-krylov"])
+def test_first_test_evaluates_a_breakdown_below_the_hint(method):
+    # the space spanned by v is invariant at dimension 2; a hint of 8 skips
+    # f(H_k) below k = 6 except where the basis breaks down
+    lam = np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0])
+    A = oracles.make_operator_from_dense(np.diag(lam))
+    v = np.zeros(8)
+    v[:2] = 1.0 / np.sqrt(2.0)
+    res = approx_fAv(A, get_function("sqrt"), v,
+                     InnerConfig(eps_inner=1e-8, method=method), first_test=8)
+    assert res.breakdown and res.converged and res.dims_used == 2
+    want = np.sqrt(lam) * v
+    assert np.linalg.norm(res.vector - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_first_test_beyond_max_dim_is_clamped():
+    # the last step is always evaluated and tested, so an unconverged solve
+    # returns the full scan's last iterate and estimate
+    A = op("A3:n=400")
+    v = unit(np.random.default_rng(5), 400)
+    cfg = InnerConfig(eps_inner=1e-12, max_dim=8)
+    full = approx_fAv(A, get_function("exp"), v, cfg)
+    res = approx_fAv(A, get_function("exp"), v, cfg, first_test=50)
+    assert not res.converged and res.dims_used == 8
+    assert np.array_equal(res.vector, full.vector)
+    assert res.err_estimate == full.err_estimate
+    assert res.omega_history == full.omega_history[-1:]
+
+
+@pytest.mark.parametrize("n,first_test", [(3, 10), (10, 50)])
+def test_first_test_keeps_the_domain_guard(n, first_test):
+    # the hint is clamped to the last step n, where H_n carries the
+    # eigenvalue -1 of A; the evaluated H_k are guarded
+    A = oracles.make_operator_from_dense(np.diag([-1.0] + list(range(2, n + 1))))
+    v = np.ones(n) / np.sqrt(n)
+    with pytest.raises(DomainError, match="excluded set"):
+        approx_fAv(A, get_function("invsqrt"), v, InnerConfig(eps_inner=1e-8),
+                   first_test=first_test)
+
+
 def test_projected_spectrum_on_cut_raises_with_context():
     A = oracles.make_operator_from_dense(np.diag([-1.0, 2.0]))
     v = np.array([1.0, 2.0]) / np.sqrt(5.0)

@@ -19,6 +19,8 @@ from matfunsvd import (
 from matfunsvd.orth import GrowingBasis
 from matfunsvd.outer import _representatives
 
+import matfunsvd.densela
+
 import oracles
 
 
@@ -257,6 +259,33 @@ def test_inner_accounting_fields():
     assert rep.inner_total > 0
     npt.assert_allclose(rep.inner_avg, rep.inner_total / (2 * rep.outer_iters))
     assert rep.wall_time_s > 0
+
+
+def test_run_passes_the_inner_dimension_hint(monkeypatch):
+    calls = []
+    original = matfunsvd.densela.dense_matfun
+
+    def counting_matfun(H, g):
+        calls.append(H.shape[0])
+        return original(H, g)
+
+    monkeypatch.setattr(matfunsvd.densela, "dense_matfun", counting_matfun)
+    rep = run(op("A5:n=400"), get_function("invsqrt"), 1e-6, m_max=50,
+              inner_policy=InnerPolicy(method="extended-krylov"), seed=1)
+    assert rep.converged and rep.outer_iters > 2
+    # without the hint every inner step evaluates f(H_k): one call per dim
+    assert len(calls) < rep.inner_total / 3
+
+
+def test_triplet_vectors_are_lifted_to_unit_n_vectors():
+    A = op("A5:n=100")
+    rep = run(A, get_function("exp"), 1e-8, inner_policy=EXACT, num_triplets=3,
+              seed=2)
+    assert rep.converged and len(rep.triplets) == 3
+    for t in rep.triplets:
+        for vec in (t.left, t.right):
+            assert vec.shape == (A.n,)
+            npt.assert_allclose(np.linalg.norm(vec), 1.0, rtol=1e-12)
 
 
 def test_domain_error_aborts_with_message():
