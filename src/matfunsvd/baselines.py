@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .functions import ScalarFunction
-from .inner import InnerConfig, approx_fAv
+from .inner import _LAG, InnerConfig, approx_fAv
 from .outer import InexactnessLedger, RunReport, TripletEstimate
 
 __all__ = ["power_method", "ExpBoundResult", "exp_norm_bound"]
@@ -35,7 +35,10 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     stops once the eigenvalue residual ||y - lambda v|| / lambda drops below
     eps_out, and sigma = sqrt(lambda).  The default inner tolerance is
     eps_out/100; the stopping test itself uses inexact products, which is
-    reported as-is without correction.
+    reported as-is without correction.  As in ``run``, each inner solve
+    runs its first lagged test at the smaller inner dimension of the
+    previous sweep minus the lag, so ``f(H_k)`` is evaluated only from
+    where that test can use it.
     """
     if not (0.0 < eps_out < 1.0):
         raise ValueError("eps_out must lie in (0, 1)")
@@ -51,17 +54,19 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     lam = 0.0
     resid = np.inf
     w = np.zeros(A.n, dtype=A.dtype)
+    first_test = _LAG + 1  # inner hint, as run keeps it in BidiagState
     it = 0
     for it in range(1, max_iters + 1):
-        r1 = approx_fAv(A, f, v, cfg, adjoint=False)
+        r1 = approx_fAv(A, f, v, cfg, adjoint=False, first_test=first_test)
         w = r1.vector
         inner_total += r1.dims_used
         wnorm = float(np.linalg.norm(w))
         if wnorm == 0.0:
             break  # v in the numerical null space of f(A)
-        r2 = approx_fAv(A, f, w, cfg, adjoint=True)
+        r2 = approx_fAv(A, f, w, cfg, adjoint=True, first_test=first_test)
         y = r2.vector
         inner_total += r2.dims_used
+        first_test = min(r1.dims_used, r2.dims_used) - _LAG
         ledger.append_step(r1.err_estimate, r2.err_estimate, cfg.eps_inner)
         lam = float(abs(np.vdot(v, y)))
         resid = float(np.linalg.norm(y - lam * v))

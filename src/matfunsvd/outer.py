@@ -7,15 +7,20 @@ Each step applies the two inner approximations
 
 Because the products are inexact, the short recurrences do not truncate: both
 orthogonalizations run against the full bases and every accumulated
-coefficient is kept.  Singular triplet estimates come from the eigenpairs of
+coefficient is kept, written in place into one growing buffer that holds M
+and T.  Singular triplet estimates are the eigenpairs of
 
     K = [[0, M], [T_square, 0]]
 
-whose spectrum pairs as +/- sigma estimates.  The computed residual of an
-eigenpair (theta, q=[x; y]) is |t_{j+1,j} * x_j| and convergence is declared
-when it drops below eps_out * theta.  Inner error estimates are logged per
-step; their weighted sum bounds the gap between the computed residual and
-the true one.
+whose spectrum pairs as +/- sigma estimates.  Since K^2 = diag(M T, T M),
+they are read from the j x j eigenproblem of M T_square instead: theta is
+the principal square root of an eigenvalue and the eigenvector of K is
+[x; T_square x / theta].  The computed residual of an eigenpair
+(theta, q=[x; y]) is |t_{j+1,j} * x_j| and convergence is declared when it
+drops below eps_out * theta.  Inner error estimates are logged per step;
+their weighted sum bounds the gap between the computed residual and the
+true one.  ``build_khat`` and ``leading_eigenpair`` keep the 2j x 2j form
+as the reference for ``verify_tau`` and the tests.
 """
 
 import time
@@ -41,6 +46,8 @@ __all__ = [
     "leading_eigenpair",
     "run",
 ]
+
+_CAPACITY = 16  # initial column capacity of the coupling-matrix buffer
 
 
 @dataclass
@@ -92,7 +99,14 @@ class TripletEstimate:
 
 
 class BidiagState:
-    """Bases and coupling matrices of the bidiagonalization after j steps."""
+    """Bases and coupling matrices of the bidiagonalization after j steps.
+
+    M (j x j, upper triangular) and T ((j+1) x j, upper Hessenberg) live in
+    one zero-filled buffer, ``_coupling[0]`` and ``_coupling[1]``, which
+    doubles its column capacity when full, as ``GrowingBasis`` does.  Each
+    step writes one column of each in place; ``M``, ``T`` and ``t_next``
+    read views of the buffer, so nothing is rebuilt per step.
+    """
 
     def __init__(self, v1):
         v1 = np.asarray(v1)
@@ -105,33 +119,38 @@ class BidiagState:
         self.V = GrowingBasis(self.n, v1.dtype)
         self.V.append(v1 / nrm)
         self.j = 0
-        self._mcols: list = []  # column j: j projections + normalization
-        self._tcols: list = []  # column j: j projections + next-coefficient
+        self._coupling = np.zeros((2, _CAPACITY + 1, _CAPACITY),
+                                  dtype=v1.dtype)
         self.ledger = InexactnessLedger()
         self.exhausted = False  # right basis cannot be extended further
         # step of the first lagged test in the next inner solves: the
         # smaller inner dimension of the last step minus the lag
         self.first_test = _LAG + 1
 
+    def append_columns(self, m_coeffs, t_coeffs):
+        """Store column j+1 of M (j+1 entries) and of T (j+2 entries)."""
+        j = self.j
+        cap = self._coupling.shape[2]
+        if j == cap:
+            bigger = np.zeros((2, 2 * cap + 1, 2 * cap), dtype=self.dtype)
+            bigger[:, : cap + 1, :cap] = self._coupling
+            self._coupling = bigger
+        self._coupling[0, : j + 1, j] = m_coeffs
+        self._coupling[1, : j + 2, j] = t_coeffs
+        self.j = j + 1
+
     @property
     def M(self):
-        j = self.j
-        M = np.zeros((j, j), dtype=self.dtype)
-        for c, col in enumerate(self._mcols):
-            M[: c + 1, c] = col
-        return M
+        return self._coupling[0, : self.j, : self.j]
 
     @property
     def T(self):
-        j = self.j
-        T = np.zeros((j + 1, j), dtype=self.dtype)
-        for c, col in enumerate(self._tcols):
-            T[: c + 2, c] = col
-        return T
+        return self._coupling[1, : self.j + 1, : self.j]
 
     @property
     def t_next(self):
-        return float(abs(self._tcols[-1][-1])) if self._tcols else 0.0
+        j = self.j
+        return float(abs(self._coupling[1, j, j - 1])) if j else 0.0
 
 
 @dataclass
@@ -146,8 +165,7 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction,
     """Advance the bidiagonalization by one step (two inner solves)."""
     if state.exhausted:
         raise RuntimeError("right basis is exhausted; cannot step further")
-    j = state.j + 1
-    v_j = state.V.column(j - 1)
+    v_j = state.V.column(state.j)
 
     r1 = approx_fAv(A, f, v_j, inner_cfg, adjoint=False,
                     first_test=state.first_test)
@@ -171,9 +189,7 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction,
         state.exhausted = True
 
     state.first_test = min(r1.dims_used, r2.dims_used) - _LAG
-    state._mcols.append(m_coeffs)
-    state._tcols.append(t_coeffs)
-    state.j = j
+    state.append_columns(m_coeffs, t_coeffs)
     if v_next is not None:
         state.V.append(v_next)
     state.ledger.append_step(r1.err_estimate, r2.err_estimate,
@@ -209,6 +225,22 @@ def _representatives(values):
 def _extract(state: BidiagState, num_triplets=1):
     """Triplet estimates plus the leading gap delta (for the relax scheduler).
 
+    Solves the projected problem in its j x j form.  K = [[0, M], [T, 0]]
+    (T square, its first j rows) squares to diag(M T, T M), so each
+    eigenpair (lambda, x) of M T gives the two eigenpairs
+    (+/- theta, [x; +/- T x / theta]) of K, theta = sqrt(lambda) the
+    principal root.  The +theta vector [x; y], scaled to unit length like
+    an eigenvector from eig(K), gives the computed residual t_next * |x_j|,
+    the gap bound and the left/right coefficient vectors; delta is the
+    distance from the leading theta to the rest of the +/- theta spectrum.
+    When theta == 0 both roots vanish and y = 0.
+
+    Because lambda = theta^2, a trailing theta loses relative accuracy: its
+    absolute error is about eps * theta_max.  Only the leading estimates
+    are reported, and in delta that absolute error is harmless.  M T also
+    squares the range of the entries; the vector norms of the run loop
+    already keep theta within the square root of the floating-point range.
+
     The estimates carry the unit coefficient vectors of their left and
     right vectors in U and V (length j); ``run`` lifts them to n-vectors
     once, on exit.
@@ -216,11 +248,13 @@ def _extract(state: BidiagState, num_triplets=1):
     j = state.j
     if j == 0:
         raise ValueError("cannot extract from an empty state")
-    M = state.M
-    T = state.T
-    K = build_khat(M, T[:j, :])
-    dec = eig_dense(K)
-    order = _representatives(dec.values)
+    T = state.T[:j]
+    dec = eig_dense(state.M @ T)
+    theta = np.sqrt(dec.values)
+    # every principal root represents its +/- pair; on the imaginary axis
+    # the representative has Im >= 0, as _representatives picks it in K
+    theta[(theta.real == 0.0) & (theta.imag < 0.0)] *= -1.0
+    order = _representatives(theta)
     t_next = state.t_next
     g1 = np.asarray(state.ledger.g1)
     g2 = np.asarray(state.ledger.g2)
@@ -229,35 +263,30 @@ def _extract(state: BidiagState, num_triplets=1):
     count = min(num_triplets, len(order))
     for rank in range(count):
         i = order[rank]
-        theta = float(abs(dec.values[i]))
-        q = dec.vectors[:, i]
-        x = q[:j]
-        y = q[j:]
-        residual = t_next * abs(x[j - 1])
+        x = dec.vectors[:, i]  # unit
+        y = T @ x / theta[i] if theta[i] != 0.0 else np.zeros(j, dtype=complex)
+        yn = np.linalg.norm(y)
+        qn = np.hypot(1.0, yn)  # ||[x; y]||
+        residual = t_next * abs(x[j - 1]) / qn
         gap = float(np.sum(np.sqrt(g1 ** 2 * np.abs(y) ** 2
-                                   + g2 ** 2 * np.abs(x) ** 2)))
+                                   + g2 ** 2 * np.abs(x) ** 2))) / qn
+        modulus = float(abs(theta[i]))
         if rank + 1 < len(order):
-            theta2 = float(abs(dec.values[order[rank + 1]]))
-            rel_gap = (theta - theta2) / theta if theta > 0 else np.nan
+            theta2 = float(abs(theta[order[rank + 1]]))
+            rel_gap = (modulus - theta2) / modulus if modulus > 0 else np.nan
         else:
             rel_gap = np.nan
-        xn = np.linalg.norm(x)
-        yn = np.linalg.norm(y)
-        left = x / xn if xn > 0 else np.zeros(j, dtype=complex)
-        right = y / yn if yn > 0 else np.zeros(j, dtype=complex)
+        right = y / yn if yn > 0 else y
         triplets.append(TripletEstimate(
-            theta=theta, left=left, right=right,
+            theta=modulus, left=x, right=right,
             computed_residual=float(residual), gap_bound=gap,
             theta_gap_second=rel_gap))
 
-    # smallest distance from the leading eigenvalue to the rest of the
-    # spectrum, reused by the relaxation scheduler
-    delta = np.nan
-    if order:
-        lead = dec.values[order[0]]
-        others = np.delete(dec.values, order[0])
-        if others.size:
-            delta = float(np.min(np.abs(others - lead)))
+    # smallest distance from the leading eigenvalue of K to the rest of its
+    # spectrum (+/- theta), reused by the relaxation scheduler
+    lead = theta[order[0]]
+    others = np.concatenate([np.delete(theta, order[0]), -theta])
+    delta = float(np.min(np.abs(others - lead)))
     return triplets, delta
 
 

@@ -15,6 +15,7 @@ from matfunsvd import (
     run,
 )
 
+import matfunsvd.densela
 import oracles
 
 
@@ -70,6 +71,24 @@ def test_power_report_accounting():
     d = rep.to_json_dict()
     assert d["method"] == "power" and d["matrix"] == "A2:n=60"
     assert d["rel_gap_second"] is None or np.isnan(d["rel_gap_second"])
+
+
+def test_power_passes_the_inner_dimension_hint(monkeypatch):
+    calls = []
+    original = matfunsvd.densela.dense_matfun
+
+    def counting_matfun(H, g):
+        calls.append(H.shape[0])
+        return original(H, g)
+
+    monkeypatch.setattr(matfunsvd.densela, "dense_matfun", counting_matfun)
+    rep = power_method(op("A5:n=400"), get_function("invsqrt"), 1e-6,
+                       inner_cfg=InnerConfig(eps_inner=1e-8,
+                                             method="extended-krylov"),
+                       seed=1)
+    assert rep.converged and rep.outer_iters > 2
+    # without the hint every inner step evaluates f(H_k): one call per dim
+    assert len(calls) < rep.inner_total / 3
 
 
 def test_power_unconverged_flag():
