@@ -110,6 +110,13 @@ def exp_norm_bound(A, sign=1, tol=1e-6, max_iters=400, seed=0):
     eigenvalue of the Hermitian part comes from Lanczos with full
     reorthogonalization, stopped when the eigenpair residual beta*|s_k|
     falls below tol * |lambda|.  The bound is tight when A is Hermitian.
+
+    What is certified: ``bound`` is exp(theta) for the largest Lanczos Ritz
+    value theta, and a Ritz value is never above lambda_max.  So ``bound``
+    is an upper bound on ||exp(sign*A)||_2 only once theta has converged to
+    lambda_max.  With ``converged`` False it may lie below exp(lambda_max),
+    and below the norm itself; A3:n=10000, for one, is still unconverged
+    after 1600 iterations.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")

@@ -3,9 +3,9 @@
 Everything here operates on small dense matrices (projected Hessenberg /
 coupling matrices, shifted blocks) or on structured factorizations of the
 large operators.  Eigen/SVD/LU work is delegated to LAPACK and SuperLU;
-``dense_matfun`` evaluates matrix functions: scaling-and-squaring with a
-degree-13 Pade approximant for the exponential, and for the branch-cut
-functions scipy's Schur square root behind a guard on the eigenvalues.
+``dense_matfun`` evaluates the first column f(H) e1 of a matrix function:
+scipy's ``expm`` for the exponential, and for the branch-cut functions
+scipy's Schur square root behind a guard on the eigenvalues.
 """
 
 from dataclasses import dataclass
@@ -89,60 +89,26 @@ def sigma_min_shifted(M, theta):
 # ---------------------------------------------------------------------------
 # dense matrix functions
 
-# diagonal Pade coefficients of degree 13 for the exponential and the 1-norm
-# threshold below which no scaling is needed
-_PADE13_B = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_PADE13_THETA = 5.371920351148152
-
-
-def _expm_pade13(A):
-    """Scaling-and-squaring exponential with the degree-13 diagonal Pade."""
-    A = np.asarray(A)
-    d = A.shape[0]
-    if d == 0:
-        return A.copy()
-    norm1 = float(np.linalg.norm(A, 1))
-    s = 0
-    if norm1 > _PADE13_THETA:
-        s = int(np.ceil(np.log2(norm1 / _PADE13_THETA)))
-        A = A / (2.0 ** s)
-    b = _PADE13_B
-    eye = np.eye(d, dtype=A.dtype)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    F = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        F = F @ F
-    return F
-
-
 def dense_matfun(H, f: ScalarFunction):
-    """Evaluate the matrix function f(H) of a small dense matrix.
+    """First column f(H) e1 of the matrix function of a small dense matrix.
 
-    exp/expneg go through scaling-and-squaring with the degree-13 diagonal
-    Pade (scaled so the 1-norm is at most ~5.37).  The branch-cut functions
-    share the principal square root S of H from scipy's blocked Schur method
-    (Deadman, Higham & Ralha 2013; real Schur form for real H, Higham 1987):
-    sqrt returns S, invsqrt S^{-1} and phi H^{-1} (exp(-S) - I).  They first
-    raise DomainError when an eigenvalue of H lies on the ray (-inf, 0] or
-    within 1e-12*||H||_F of it.
+    The inner solve needs only c = f(H) e1, so no other column is formed.
+    exp/expneg take the first column of scipy's ``expm`` (scaling and
+    squaring with a Pade approximant; Al-Mohy & Higham, SIMAX 2009).  The
+    branch-cut functions share the principal square root S of H from scipy's
+    blocked Schur method (Deadman, Higham & Ralha 2013; real Schur form for
+    real H, Higham 1987): sqrt returns S e1, invsqrt S^{-1} e1 and phi
+    H^{-1} (exp(-S) - I) e1, each by one vector solve.  They first raise
+    DomainError when an eigenvalue of H lies on the ray (-inf, 0] or within
+    1e-12*||H||_F of it.
     """
     H = _as_square(H)
     if f.id == "identity":
-        return H.copy()
+        return H[:, 0].copy()
     if f.id == "exp":
-        return _expm_pade13(H)
+        return scipy.linalg.expm(H)[:, 0]
     if f.id == "expneg":
-        return _expm_pade13(-H)
+        return scipy.linalg.expm(-H)[:, 0]
     if f.id not in ("sqrt", "invsqrt", "phi"):
         raise ValueError(f"no dense evaluation for function {f.id!r}")
 
@@ -158,12 +124,13 @@ def dense_matfun(H, f: ScalarFunction):
         )
     S = scipy.linalg.sqrtm(H)
     if f.id == "sqrt":
-        return S
-    eye = np.eye(H.shape[0], dtype=S.dtype)
+        return S[:, 0]
+    e1 = np.zeros(H.shape[0], dtype=S.dtype)
+    e1[0] = 1.0
     if f.id == "invsqrt":
-        return np.linalg.solve(S, eye)
+        return np.linalg.solve(S, e1)
     # phi(z) = (exp(-sqrt(z)) - 1) / z
-    return np.linalg.solve(H, _expm_pade13(-S) - eye)
+    return np.linalg.solve(H, scipy.linalg.expm(-S)[:, 0] - e1)
 
 
 # ---------------------------------------------------------------------------

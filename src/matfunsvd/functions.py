@@ -16,7 +16,6 @@ __all__ = [
     "ScalarFunction",
     "FUNCTION_IDS",
     "get_function",
-    "eval_scalar",
 ]
 
 
@@ -98,20 +97,3 @@ def get_function(name: str) -> ScalarFunction:
         raise KeyError(
             f"unknown function {name!r}; available: {', '.join(FUNCTION_IDS)}"
         ) from None
-
-
-def on_excluded_ray(z) -> bool:
-    """True where z lies on the closed ray (-inf, 0]."""
-    z = np.asarray(z, dtype=complex)
-    return bool(np.any((z.imag == 0.0) & (z.real <= 0.0)))
-
-
-def eval_scalar(f: ScalarFunction, z):
-    """Evaluate f at scalar or array z, rejecting points on the excluded set."""
-    if f.has_branch_cut and on_excluded_ray(z):
-        bad = np.asarray(z, dtype=complex).ravel()
-        bad = bad[(bad.imag == 0.0) & (bad.real <= 0.0)][0]
-        raise DomainError(
-            f"{f.id} is undefined on the ray (-inf, 0]; got argument {bad}"
-        )
-    return f.evaluate(z)

@@ -75,19 +75,18 @@ class InnerResult:
     omega_history: list = field(default_factory=list)
     converged: bool = False
     breakdown: bool = False
-    basis: np.ndarray | None = None
 
 
 def _f_column(H, f, scale):
     """First column of f(H) times a scale, with step context on domain errors."""
     try:
-        F = densela.dense_matfun(H, f)
+        c = densela.dense_matfun(H, f)
     except DomainError as exc:
         raise DomainError(
             f"inner solve: projected matrix of dimension {H.shape[0]} "
             f"hit the excluded set of {f.id}: {exc}"
         ) from exc
-    return F[:, 0] * scale
+    return c * scale
 
 
 def _arnoldi(A, v1, max_dim, adjoint):
@@ -143,7 +142,7 @@ def _extended(A, v1, max_dim, adjoint):
 
 
 def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
-               keep_basis=False, first_test=_LAG + 1) -> InnerResult:
+               first_test=_LAG + 1) -> InnerResult:
     """Approximate f(A) v (or f(A)^H u = f(A^H) u with adjoint=True).
 
     Step k completes the projected matrix H_k of the chosen family.  The
@@ -184,8 +183,7 @@ def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
         return InnerResult(
             vector=P[:, : c.shape[0]] @ c, err_estimate=float(err),
             dims_used=d, omega_history=omegas, converged=converged,
-            breakdown=breakdown,
-            basis=P[:, :d].copy() if keep_basis else None)
+            breakdown=breakdown)
 
     for k in range(1, max_dim + 1):
         d, invariant = expand(k)

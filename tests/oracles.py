@@ -6,6 +6,7 @@ with the package under test, so agreement is meaningful evidence.
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import expm_multiply
 
 FUNCTION_IDS = ("exp", "expneg", "sqrt", "invsqrt", "phi")
 
@@ -32,18 +33,22 @@ def scalar_reference(fid, z, dps=50):
 
 
 def dense_fA(A, fid):
-    """Dense f(A) via scipy building blocks (expm / fractional power / solve).
+    """Dense f(A) via scipy building blocks (expm_multiply / fractional power).
 
-    The square roots come from ``fractional_matrix_power`` (Higham-Lin
-    Schur-Pade with its own triangular square root), not from ``sqrtm``,
-    which the package itself uses.
+    The package takes its exponential from ``scipy.linalg.expm`` (scaling
+    and squaring with a Pade approximant) and its square roots from
+    ``sqrtm``.  Here the exponential comes from ``expm_multiply`` applied to
+    the identity (truncated Taylor series with scaling; Al-Mohy & Higham,
+    SISC 2011) and the square roots from ``fractional_matrix_power``
+    (Higham-Lin Schur-Pade with its own triangular square root).
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
+    eye = np.eye(n)
     if fid == "exp":
-        return scipy.linalg.expm(A)
+        return expm_multiply(A, eye)
     if fid == "expneg":
-        return scipy.linalg.expm(-A)
+        return expm_multiply(-A, eye)
     if fid == "sqrt":
         return scipy.linalg.fractional_matrix_power(A, 0.5)
     if fid == "invsqrt":
@@ -51,20 +56,23 @@ def dense_fA(A, fid):
     if fid == "phi":
         # phi(z) = (exp(-sqrt(z)) - 1)/z, so phi(A) = A^{-1}(e^{-sqrt(A)} - I)
         S = scipy.linalg.fractional_matrix_power(A, 0.5)
-        return np.linalg.solve(A, scipy.linalg.expm(-S) - np.eye(n))
+        return scipy.linalg.solve(A, expm_multiply(-S, eye) - eye)
     raise ValueError(fid)
 
 
 def dense_fA_mp(A, fid, dps=40):
-    """Dense f(A) for the branch-cut functions in mpmath at ``dps`` digits.
+    """Dense f(A) in mpmath at ``dps`` digits.
 
-    mpmath's sqrtm (a Denman-Beavers iteration) shares no code with scipy or
-    the package; meant for small n.
+    mpmath's expm and sqrtm (a Denman-Beavers iteration) share no code with
+    scipy or the package; meant for small n.
     """
     import mpmath
 
     with mpmath.workdps(dps):
         M = mpmath.matrix(np.asarray(A, dtype=complex).tolist())
+        if fid in ("exp", "expneg"):
+            R = mpmath.expm(M if fid == "exp" else -M)
+            return np.array(R.tolist(), dtype=complex)
         S = mpmath.sqrtm(M)
         if fid == "sqrt":
             R = S

@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from matfunsvd import (
-    InnerConfig,
     InnerPolicy,
     build_operator,
     exp_norm_bound,
@@ -14,6 +13,7 @@ from matfunsvd import (
     power_method,
     run,
 )
+from matfunsvd.inner import InnerConfig
 
 import matfunsvd.densela
 import oracles

@@ -5,15 +5,9 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from matfunsvd import (
-    DomainError,
-    dense_matfun,
-    eig_dense,
-    get_function,
-    lu_factor,
-    sigma_min_shifted,
-)
-from matfunsvd.densela import FactorizationError
+from matfunsvd import DomainError, get_function
+from matfunsvd.densela import (FactorizationError, dense_matfun, eig_dense,
+                               lu_factor, sigma_min_shifted)
 
 import oracles
 
@@ -53,11 +47,28 @@ def test_sigma_min_shifted_matches_svd():
 # dense_matfun
 
 
+def matfun(A, f):
+    """The whole f(A), built from dense_matfun one column at a time.
+
+    dense_matfun returns only f(A) e1.  With P the permutation matrix that
+    swaps indices 0 and j, f(P A P) = P f(A) P, so dense_matfun(P A P, f)
+    = P f(A) e_j, and column j of f(A) is that vector permuted back.
+    """
+    A = np.asarray(A)
+    cols = []
+    for j in range(A.shape[0]):
+        p = np.arange(A.shape[0])
+        p[[0, j]] = p[[j, 0]]
+        cols.append(dense_matfun(A[np.ix_(p, p)], f)[p])
+    return np.column_stack(cols)
+
+
 def test_matfun_jordan_block_sqrt():
-    # f of a 2x2 Jordan block is [[f(a), f'(a)], [0, f(a)]]
-    J = np.array([[4.0, 1.0], [0.0, 4.0]])
-    F = dense_matfun(J, get_function("sqrt"))
-    npt.assert_allclose(F, [[2.0, 0.25], [0.0, 2.0]], atol=5e-8)
+    # f of a lower 2x2 Jordan block is [[f(a), 0], [f'(a), f(a)]], so the
+    # first column, the one dense_matfun returns, holds f'(a)
+    J = np.array([[4.0, 0.0], [1.0, 4.0]])
+    F = matfun(J, get_function("sqrt"))
+    npt.assert_allclose(F, [[2.0, 0.0], [0.25, 2.0]], atol=5e-8)
     npt.assert_allclose(F @ F, J, atol=1e-7)
 
 
@@ -65,34 +76,49 @@ def test_matfun_exp_functional_equations():
     A = random_matrix(14, 9)
     f = get_function("exp")
     g = get_function("expneg")
-    E = dense_matfun(A, f)
-    npt.assert_allclose(E @ dense_matfun(A, g), np.eye(14), atol=1e-9 * np.linalg.norm(E))
+    E = matfun(A, f)
+    npt.assert_allclose(E @ matfun(A, g), np.eye(14), atol=1e-9 * np.linalg.norm(E))
     # exp(A/2)^2 == exp(A)
-    npt.assert_allclose(dense_matfun(A / 2, f) @ dense_matfun(A / 2, f), E,
+    npt.assert_allclose(matfun(A / 2, f) @ matfun(A / 2, f), E,
                         atol=1e-10 * np.linalg.norm(E))
 
 
 def test_matfun_branch_functions_consistency():
     A = random_matrix(12, 10)
     A = A @ A.T / 6 + 3.0 * np.eye(12)  # spectrum safely in the right half-plane
-    S = dense_matfun(A, get_function("sqrt"))
+    S = matfun(A, get_function("sqrt"))
     npt.assert_allclose(S @ S, A, atol=1e-10 * np.linalg.norm(A))
-    R = dense_matfun(A, get_function("invsqrt"))
+    R = matfun(A, get_function("invsqrt"))
     npt.assert_allclose(S @ R, np.eye(12), atol=1e-9)
-    P = dense_matfun(A, get_function("phi"))
+    P = matfun(A, get_function("phi"))
     # A * phi(A) = exp(-sqrt(A)) - I
-    npt.assert_allclose(A @ P, dense_matfun(S, get_function("expneg")) - np.eye(12),
+    npt.assert_allclose(A @ P, matfun(S, get_function("expneg")) - np.eye(12),
                         atol=1e-9 * np.linalg.norm(A))
+
+
+def oracle_case(n, fid):
+    rng = np.random.default_rng(100 * n + len(fid))
+    return rng.standard_normal((n, n)) * 0.6 + np.diag(rng.uniform(2.0, 5.0, n))
 
 
 @pytest.mark.parametrize("fid", oracles.FUNCTION_IDS)
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_matfun_against_independent_oracle(fid, n):
-    rng = np.random.default_rng(100 * n + len(fid))
-    A = rng.standard_normal((n, n)) * 0.6 + np.diag(rng.uniform(2.0, 5.0, n))
-    got = dense_matfun(A, get_function(fid))
+    A = oracle_case(n, fid)
+    got = matfun(A, get_function(fid))
     want = oracles.dense_fA(A, fid)
     npt.assert_allclose(got, want, atol=1e-10 * max(1.0, np.linalg.norm(want)))
+
+
+@pytest.mark.parametrize("fid", ["exp", "expneg", "phi"])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_exp_oracle_matches_mpmath(fid, n):
+    # the exp oracle (expm_multiply) is itself checked at 40 digits, on the
+    # matrices of test_matfun_against_independent_oracle
+    A = oracle_case(n, fid)
+    got = oracles.dense_fA(A, fid)
+    want = oracles.dense_fA_mp(A, fid)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_matfun_clustered_eigenvalues_stay_accurate():
@@ -100,7 +126,7 @@ def test_matfun_clustered_eigenvalues_stay_accurate():
     # only a Schur-based method (or scaling-and-squaring) stays accurate
     A = np.array([[2.0, 1.0, 0.3], [0.0, 2.0 + 1e-9, 1.0], [0.0, 0.0, 3.0]])
     for fid in ("exp", "sqrt", "phi"):
-        got = dense_matfun(A, get_function(fid))
+        got = matfun(A, get_function(fid))
         want = oracles.dense_fA(A, fid)
         npt.assert_allclose(got, want, atol=1e-8 * np.linalg.norm(want))
 
@@ -116,7 +142,7 @@ def test_matfun_invsqrt_nonnormal_matches_mpmath():
     A = Q @ T @ Q.T
     V = np.linalg.eig(A)[1]
     assert 1e5 < np.linalg.cond(V) < 1e6
-    got = dense_matfun(A, get_function("invsqrt"))
+    got = matfun(A, get_function("invsqrt"))
     want = oracles.dense_fA_mp(A, "invsqrt")
     assert got.dtype == np.float64
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -129,7 +155,7 @@ def test_matfun_complex_input_matches_mpmath(fid):
     n = 5
     A = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     A += np.diag([2.0 + 1.0j, -1.0 + 2.0j, -0.5 - 1.5j, 1.0 - 0.5j, 3.0])
-    got = dense_matfun(A, get_function(fid))
+    got = matfun(A, get_function(fid))
     want = oracles.dense_fA_mp(A, fid)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -138,23 +164,23 @@ def test_matfun_complex_input_matches_mpmath(fid):
 def test_matfun_domain_error_near_cut(fid):
     # 1e-14 is off the ray but within 1e-12*||H|| of it
     with pytest.raises(DomainError):
-        dense_matfun(np.diag([1e-14, 1.0, 2.0]), get_function(fid))
+        matfun(np.diag([1e-14, 1.0, 2.0]), get_function(fid))
 
 
 def test_matfun_domain_error_on_cut_spectrum():
     A = np.diag([1.0, -2.0, 3.0])
     with pytest.raises(DomainError):
-        dense_matfun(A, get_function("sqrt"))
+        matfun(A, get_function("sqrt"))
     with pytest.raises(DomainError):
-        dense_matfun(np.zeros((2, 2)), get_function("invsqrt"))
+        matfun(np.zeros((2, 2)), get_function("invsqrt"))
     # exp has no excluded set
-    npt.assert_allclose(dense_matfun(A, get_function("exp")),
+    npt.assert_allclose(matfun(A, get_function("exp")),
                         np.diag(np.exp([1.0, -2.0, 3.0])), rtol=1e-12)
 
 
 def test_matfun_identity_function_is_exact():
     A = random_matrix(9, 13, complex_=True)
-    npt.assert_allclose(dense_matfun(A, get_function("identity")), A, rtol=0, atol=1e-14)
+    npt.assert_allclose(matfun(A, get_function("identity")), A, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

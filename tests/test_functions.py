@@ -4,8 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from matfunsvd import DomainError, FUNCTION_IDS, get_function
-from matfunsvd.functions import eval_scalar, on_excluded_ray
+from matfunsvd import FUNCTION_IDS, get_function
 
 import oracles
 
@@ -60,25 +59,6 @@ def test_conjugate_symmetry():
     for fid in oracles.FUNCTION_IDS:
         f = get_function(fid)
         npt.assert_allclose(f(np.conj(pts)), np.conj(f(pts)), rtol=1e-13)
-
-
-def test_excluded_ray_detection():
-    assert on_excluded_ray(0.0)
-    assert on_excluded_ray(-2.0)
-    assert on_excluded_ray(np.array([1.0, -0.5]))
-    assert not on_excluded_ray(1e-30)
-    assert not on_excluded_ray(-1.0 + 1e-12j)
-
-
-@pytest.mark.parametrize("fid", ["sqrt", "invsqrt", "phi"])
-def test_domain_error_on_cut(fid):
-    f = get_function(fid)
-    with pytest.raises(DomainError):
-        eval_scalar(f, -1.0)
-    with pytest.raises(DomainError):
-        eval_scalar(f, np.array([2.0, 0.0]))
-    # entire functions accept the same points
-    assert np.isfinite(eval_scalar(get_function("exp"), -1.0))
 
 
 def test_vectorization_matches_scalar_loop():

@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from matfunsvd import DomainError, InnerConfig, approx_fAv, build_operator, get_function
+from matfunsvd import DomainError, build_operator, get_function
+from matfunsvd.inner import InnerConfig, approx_fAv
 from matfunsvd.operators import parse_matrix_token
 
 import matfunsvd.inner
@@ -64,11 +65,10 @@ def test_extended_expansion_order():
     lam = np.linspace(1.0, 4.0, 12)
     A = oracles.make_operator_from_dense(np.diag(lam))
     v = np.ones(12)
-    res = approx_fAv(A, get_function("exp"), v,
-                     InnerConfig(eps_inner=1e-15, method="extended-krylov",
-                                 max_dim=6), keep_basis=True)
-    B = res.basis
-    assert B.shape[1] == 6
+    P, _, expand = matfunsvd.inner._extended(A, v / np.linalg.norm(v), 6, False)
+    for k in range(1, 7):
+        assert expand(k) == (k, False)
+    B = P[:, :6]
     K = np.column_stack([lam ** p * v for p in (0, -1, 1, -2, 2, -3)])
     for k in range(1, 7):
         Bk = B[:, :k]
@@ -303,10 +303,12 @@ def test_projected_spectrum_on_cut_raises_with_context():
 def test_keep_basis_returns_orthonormal_span():
     A = op("A2:n=80")
     v = unit(np.random.default_rng(6), 80)
-    res = approx_fAv(A, get_function("exp"), v,
-                     InnerConfig(eps_inner=1e-9), keep_basis=True)
-    B = res.basis
-    assert B is not None and B.shape[1] == res.dims_used
+    res = approx_fAv(A, get_function("exp"), v, InnerConfig(eps_inner=1e-9))
+    # the solve is deterministic: rebuilding its basis gives the same columns
+    P, _, expand = matfunsvd.inner._arnoldi(A, v, 80, False)
+    for k in range(1, res.dims_used):
+        assert expand(k) == (k, False)
+    B = P[:, :res.dims_used]
     npt.assert_allclose(B.conj().T @ B, np.eye(B.shape[1]), atol=1e-12)
     # the returned iterate lives in the reported span
     z = res.vector

@@ -10,8 +10,8 @@ from matfunsvd import (
     OperatorError,
     build_operator,
     parse_matrix_token,
-    read_matrix_market,
 )
+from matfunsvd.operators import read_matrix_market
 
 import oracles
 

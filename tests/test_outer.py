@@ -5,19 +5,16 @@ import numpy.testing as npt
 import pytest
 
 from matfunsvd import (
-    BasisBreakdown,
     DomainError,
     InnerPolicy,
-    build_khat,
     build_operator,
     get_function,
-    leading_eigenpair,
     parse_matrix_token,
-    rgs,
     run,
 )
-from matfunsvd.orth import GrowingBasis
-from matfunsvd.outer import BidiagState, _extract, _representatives
+from matfunsvd.orth import BasisBreakdown, GrowingBasis, rgs
+from matfunsvd.outer import (BidiagState, _extract, _representatives, build_khat,
+                             leading_eigenpair)
 
 import matfunsvd.densela
 import matfunsvd.outer

@@ -6,15 +6,14 @@ import pytest
 
 from matfunsvd import (
     InnerPolicy,
-    build_khat,
     build_operator,
     get_function,
-    leading_eigenpair,
-    next_tolerance,
     parse_matrix_token,
     run,
     verify_tau,
 )
+from matfunsvd.outer import build_khat, leading_eigenpair
+from matfunsvd.relax import next_tolerance
 
 EPS_OUT = 1e-4
 M_MAX = 100
