@@ -1,8 +1,9 @@
 """Dense linear algebra kernels for the projected small problems.
 
 Everything here operates on small dense matrices (projected Hessenberg /
-coupling matrices, shifted blocks) or on structured factorizations of the
-large operators.  Eigen/SVD/LU work is delegated to LAPACK and SuperLU;
+coupling matrices, shifted blocks), apart from ``Factorization``, the one LU
+of a large operator: LAPACK's band LU for a narrow band, SuperLU otherwise.
+Eigen/SVD/LU work is delegated to LAPACK and SuperLU;
 ``dense_matfun`` evaluates the first column f(H) e1 of a matrix function:
 scipy's ``expm`` for the exponential, and for the branch-cut functions
 scipy's Schur square root behind a guard on the eigenvalues.
@@ -26,7 +27,6 @@ __all__ = [
     "sigma_min_shifted",
     "dense_matfun",
     "Factorization",
-    "lu_factor",
 ]
 
 
@@ -134,13 +134,46 @@ def dense_matfun(H, f: ScalarFunction):
 
 
 # ---------------------------------------------------------------------------
-# structured LU factorizations of the large operators
+# LU factorization of the large operators
+
+# widest band, kl + ku + 1, factored by the band LU; LAPACK band storage holds
+# (2 kl + ku + 1) n entries, so a wider band goes to SuperLU instead
+_BAND_MAX = 128
 
 
 class Factorization:
-    """Base class: solve A x = b (or A^H x = b) from a stored factorization."""
+    """LU of a square matrix, factored once; solves A x = b and A^H x = b.
 
-    dtype = np.float64
+    The backend follows from the bandwidths kl, ku of the matrix's stored
+    entries: LAPACK's band LU with partial pivoting (gbtrf/gbtrs) when
+    kl + ku + 1 <= ``_BAND_MAX``, else SuperLU (``splu``, default COLAMD
+    column ordering).  Raises FactorizationError on an exactly singular
+    pivot.
+    """
+
+    def __init__(self, matrix):
+        coo = sparse.csr_matrix(matrix).tocoo()
+        self.dtype = np.complex128 if np.iscomplexobj(coo.data) else np.float64
+        offsets = coo.row - coo.col
+        kl = int(max(0, offsets.max(initial=0)))
+        ku = int(max(0, -offsets.min(initial=0)))
+        self._splu = None
+        if kl + ku + 1 > _BAND_MAX:
+            try:
+                self._splu = splu(coo.tocsc().astype(self.dtype))
+            except RuntimeError as exc:
+                raise FactorizationError(f"sparse LU failed: {exc}") from exc
+            return
+        ab = np.zeros((2 * kl + ku + 1, coo.shape[0]), dtype=self.dtype)
+        # LAPACK band storage: ab[kl + ku + i - j, j] = A[i, j]
+        ab[kl + ku + offsets, coo.col] = coo.data
+        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        lu, ipiv, info = gbtrf(ab, kl, ku)
+        if info > 0:
+            raise FactorizationError(f"banded LU has a zero pivot at index {info - 1}")
+        if info < 0:  # pragma: no cover
+            raise FactorizationError(f"gbtrf illegal argument {-info}")
+        self._band = (lu, kl, ku, ipiv)
 
     def solve(self, b, adjoint=False):
         b = np.asarray(b)
@@ -149,130 +182,12 @@ class Factorization:
                     + 1j * self._solve(np.ascontiguousarray(b.imag), adjoint))
         return self._solve(b.astype(self.dtype, copy=False), adjoint)
 
-    def _solve(self, b, adjoint):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-def _band_dtype(arrays):
-    return np.complex128 if any(np.iscomplexobj(a) for a in arrays) else np.float64
-
-
-class _TridiagFactorization(Factorization):
-    """Thomas-style tridiagonal LU with partial pivoting (LAPACK gttrf)."""
-
-    def __init__(self, dl, d, du):
-        self.dtype = _band_dtype((dl, d, du))
-        dl = np.asarray(dl, dtype=self.dtype)
-        d = np.asarray(d, dtype=self.dtype)
-        du = np.asarray(du, dtype=self.dtype)
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
-        self._gttrs = gttrs
-        dl_f, d_f, du_f, du2, ipiv, info = gttrf(dl, d, du)
-        if info > 0:
-            raise FactorizationError(f"tridiagonal LU has a zero pivot at index {info - 1}")
-        if info < 0:  # pragma: no cover
-            raise FactorizationError(f"gttrf illegal argument {-info}")
-        self._fact = (dl_f, d_f, du_f, du2, ipiv)
-
     def _solve(self, b, adjoint):
-        trans = "C" if adjoint else "N"
-        x, info = self._gttrs(*self._fact, b, trans=trans)
-        if info != 0:  # pragma: no cover
-            raise FactorizationError(f"gttrs failed with info={info}")
-        return x
-
-
-class _BandedFactorization(Factorization):
-    """Banded LU with partial pivoting (LAPACK gbtrf/gbtrs)."""
-
-    def __init__(self, matrix, kl, ku):
-        csr = sparse.csr_matrix(matrix)
-        self.dtype = np.complex128 if np.iscomplexobj(csr.data) else np.float64
-        n = csr.shape[0]
-        self._kl, self._ku = kl, ku
-        ab = np.zeros((2 * kl + ku + 1, n), dtype=self.dtype)
-        coo = csr.tocoo()
-        # LAPACK band storage: ab[kl + ku + i - j, j] = A[i, j]
-        ab[kl + ku + coo.row - coo.col, coo.col] = coo.data
-        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        self._gbtrs = gbtrs
-        lu, ipiv, info = gbtrf(ab, kl, ku)
-        if info > 0:
-            raise FactorizationError(f"banded LU has a zero pivot at index {info - 1}")
-        if info < 0:  # pragma: no cover
-            raise FactorizationError(f"gbtrf illegal argument {-info}")
-        self._lu = lu
-        self._ipiv = ipiv
-
-    def _solve(self, b, adjoint):
+        if self._splu is not None:
+            return self._splu.solve(b, trans="H" if adjoint else "N")
+        lu, kl, ku, ipiv = self._band
         # f2py gbtrs wants b before ipiv and integer trans codes (0 = N, 2 = C)
-        x, info = self._gbtrs(self._lu, self._kl, self._ku, b, self._ipiv,
-                              trans=2 if adjoint else 0)
+        x, info = self._gbtrs(lu, kl, ku, b, ipiv, trans=2 if adjoint else 0)
         if info != 0:  # pragma: no cover
             raise FactorizationError(f"gbtrs failed with info={info}")
         return x
-
-
-class _SparseFactorization(Factorization):
-    """General sparse LU with partial pivoting (SuperLU)."""
-
-    def __init__(self, matrix):
-        csc = sparse.csc_matrix(matrix)
-        self.dtype = np.complex128 if np.iscomplexobj(csc.data) else np.float64
-        csc = csc.astype(self.dtype)
-        try:
-            self._lu = splu(csc)
-        except RuntimeError as exc:
-            raise FactorizationError(f"sparse LU failed: {exc}") from exc
-
-    def _solve(self, b, adjoint):
-        return self._lu.solve(b, trans="H" if adjoint else "N")
-
-
-class _DenseFactorization(Factorization):
-    def __init__(self, matrix):
-        A = np.asarray(matrix)
-        self.dtype = np.complex128 if np.iscomplexobj(A) else np.float64
-        A = A.astype(self.dtype)
-        try:
-            self._fact = scipy.linalg.lu_factor(A, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise FactorizationError(f"dense LU failed: {exc}") from exc
-        diag = np.abs(np.diag(self._fact[0]))
-        if np.any(diag == 0.0):
-            raise FactorizationError("dense LU has a zero pivot")
-
-    def _solve(self, b, adjoint):
-        return scipy.linalg.lu_solve(self._fact, b, trans=2 if adjoint else 0,
-                                     check_finite=False)
-
-
-def lu_factor(data, structure_tag, bandwidths=None):
-    """Factor a matrix once, dispatching on its structure tag.
-
-    tridiagonal -> Thomas-style gttrf; banded -> gbtrf (needs ``bandwidths``
-    = (kl, ku) or a sparse matrix to infer them from); general-sparse ->
-    SuperLU; dense -> getrf.  The returned object solves both A x = b and
-    A^H x = b from the same factorization.
-    """
-    if structure_tag == "tridiagonal":
-        if sparse.issparse(data) or (isinstance(data, np.ndarray) and data.ndim == 2):
-            mat = sparse.csr_matrix(data) if not sparse.issparse(data) else data
-            dl = mat.diagonal(-1)
-            d = mat.diagonal(0)
-            du = mat.diagonal(1)
-        else:
-            dl, d, du = data
-        return _TridiagFactorization(dl, d, du)
-    if structure_tag == "banded":
-        if bandwidths is None:
-            coo = sparse.coo_matrix(data)
-            offsets = coo.col - coo.row
-            bandwidths = (int(max(0, -offsets.min(initial=0))),
-                          int(max(0, offsets.max(initial=0))))
-        return _BandedFactorization(data, *bandwidths)
-    if structure_tag == "general-sparse":
-        return _SparseFactorization(data)
-    if structure_tag == "dense":
-        return _DenseFactorization(data)
-    raise ValueError(f"unknown structure tag {structure_tag!r}")

@@ -1,9 +1,9 @@
 """Test operators, matrix generators, and Matrix Market input.
 
 The large matrices are never handed to the solvers as dense arrays; they are
-wrapped in :class:`LinearOperator`, which exposes matvec/adjoint-matvec, a
-structure tag for factorization dispatch, and a lazily cached LU
-factorization for the extended Krylov solves.
+wrapped in :class:`LinearOperator`, which exposes matvec/adjoint-matvec and
+a lazily cached LU factorization (``densela.Factorization``) for the extended
+Krylov solves.
 """
 
 import math
@@ -52,13 +52,9 @@ class MatrixSpec:
 
 
 class LinearOperator:
-    """A square operator with deterministic matvecs and an adjoint.
+    """A square operator with deterministic matvecs and an adjoint."""
 
-    ``structure_tag`` is one of tridiagonal / banded / general-sparse / dense
-    and decides which LU routine backs ``factorization()``.
-    """
-
-    def __init__(self, matrix, structure_tag, name="", bandwidths=None):
+    def __init__(self, matrix, name=""):
         if sparse.issparse(matrix):
             mat = matrix.tocsr()
             if np.iscomplexobj(mat.data):
@@ -70,17 +66,13 @@ class LinearOperator:
         else:
             mat = np.asarray(matrix)
             mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise OperatorError("operator matrix must be square")
             self._mat = mat
             self._adj = mat.conj().T.copy()
-        if self._mat.shape[0] != self._mat.shape[1]:
+        if self._mat.ndim != 2 or self._mat.shape[0] != self._mat.shape[1]:
             raise OperatorError("operator matrix must be square")
         self.n = self._mat.shape[0]
         self.dtype = self._mat.dtype
-        self.structure_tag = structure_tag
-        self.name = name or structure_tag
-        self.bandwidths = bandwidths
+        self.name = name
         self._factorization = None
 
     def apply(self, x):
@@ -101,9 +93,7 @@ class LinearOperator:
     def factorization(self):
         """LU of the operator, computed once and cached (shared, immutable)."""
         if self._factorization is None:
-            self._factorization = densela.lu_factor(
-                self._mat, self.structure_tag, bandwidths=self.bandwidths
-            )
+            self._factorization = densela.Factorization(self._mat)
         return self._factorization
 
 
@@ -131,7 +121,7 @@ def _build_a1(spec):
     diag = (1.0 + rho1) + 1j * (rho2 - 0.5)
     mat = sparse.diags([diag, np.full(n - 1, 0.3)], [0, 1], format="csr",
                        dtype=np.complex128)
-    return LinearOperator(mat, "tridiagonal", name=f"A1(n={n},seed={spec.seed})")
+    return LinearOperator(mat, name=f"A1(n={n},seed={spec.seed})")
 
 
 def _build_a2(spec):
@@ -139,7 +129,7 @@ def _build_a2(spec):
     mat = sparse.diags(
         [np.full(n - 1, 1.5), np.full(n, 2.0), np.full(n - 1, -1.0)],
         [-1, 0, 1], format="csr")
-    return LinearOperator(mat, "tridiagonal", name=f"A2(n={n})")
+    return LinearOperator(mat, name=f"A2(n={n})")
 
 
 def _build_a3(spec):
@@ -150,7 +140,7 @@ def _build_a3(spec):
         [np.full(n - 7, 4.0), np.full(n - 2, -2.0), np.full(n, 10.0),
          np.full(n - 4, 6.0)],
         [-7, -2, 0, 4], format="csr")
-    return LinearOperator(mat, "banded", name=f"A3(n={n})", bandwidths=(7, 4))
+    return LinearOperator(mat, name=f"A3(n={n})")
 
 
 def _build_a4(spec):
@@ -161,8 +151,7 @@ def _build_a4(spec):
         raise OperatorError("A4 file matrix must be square")
     shift = 10.0 if spec.shift is None else spec.shift
     mat = sparse.csr_matrix(raw) + shift * sparse.eye(raw.shape[0], format="csr")
-    return LinearOperator(mat, "general-sparse",
-                          name=f"A4(path={spec.path},shift={shift:g})")
+    return LinearOperator(mat, name=f"A4(path={spec.path},shift={shift:g})")
 
 
 def _build_a5(spec):
@@ -181,7 +170,7 @@ def _build_a5(spec):
                        [-1, 0, 1])
     eye = sparse.eye(g)
     mat = (sparse.kron(eye, t1d) + sparse.kron(t1d, eye)).tocsr()
-    return LinearOperator(mat, "banded", name=f"A5(n={n})", bandwidths=(g, g))
+    return LinearOperator(mat, name=f"A5(n={n})")
 
 
 def _build_file(spec, default_shift=0.0):
@@ -194,14 +183,13 @@ def _build_file(spec, default_shift=0.0):
     mat = sparse.csr_matrix(raw)
     if shift != 0.0:
         mat = mat + shift * sparse.eye(mat.shape[0], format="csr")
-    return LinearOperator(mat, "general-sparse",
-                          name=f"file(path={spec.path})")
+    return LinearOperator(mat, name=f"file(path={spec.path})")
 
 
 def _build_dense(spec):
     if spec.dense_values is None:
         raise OperatorError("dense kind requires dense_values")
-    return LinearOperator(np.asarray(spec.dense_values), "dense", name="dense")
+    return LinearOperator(np.asarray(spec.dense_values), name="dense")
 
 
 _BUILDERS = {

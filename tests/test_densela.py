@@ -1,4 +1,4 @@
-"""Dense kernels: eig and shifted-sigma wrappers, f(H), structured LU."""
+"""Dense kernels: eig and shifted-sigma wrappers, f(H), and the operator LU."""
 
 import numpy as np
 import numpy.testing as npt
@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 from matfunsvd import DomainError, get_function
-from matfunsvd.densela import (FactorizationError, dense_matfun, eig_dense,
-                               lu_factor, sigma_min_shifted)
+from matfunsvd.densela import (Factorization, FactorizationError, dense_matfun,
+                               eig_dense, sigma_min_shifted)
 
 import oracles
 
@@ -184,55 +184,70 @@ def test_matfun_identity_function_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# structured LU
+# LU
 
 
-def lu_case(structure, n, rng):
+def lu_case(structure, rng):
+    n = 30
     if structure == "tridiagonal":
-        A = (np.diag(rng.uniform(3, 4, n)) + np.diag(rng.standard_normal(n - 1), 1)
-             + np.diag(rng.standard_normal(n - 1), -1))
-        return A, None
+        return (np.diag(rng.uniform(3, 4, n)) + np.diag(rng.standard_normal(n - 1), 1)
+                + np.diag(rng.standard_normal(n - 1), -1))
     if structure == "banded":
         A = np.diag(rng.uniform(4, 5, n))
         for k in (1, 2, 3):
             A += np.diag(rng.standard_normal(n - k) * 0.5, k)
             A += np.diag(rng.standard_normal(n - k) * 0.5, -k)
-        return A, (3, 3)
+        return A
     if structure == "general-sparse":
+        # n = 30 keeps the band under _BAND_MAX: the band LU factors it
         A = sp.random(n, n, density=0.15, random_state=np.random.RandomState(4))
-        A = A + sp.diags(np.full(n, 5.0))
-        return A.tocsr(), None
-    A = rng.standard_normal((n, n)) + n * np.eye(n)
-    return A, None
+        return (A + sp.diags(np.full(n, 5.0))).tocsr()
+    if structure == "dense":
+        return rng.standard_normal((n, n)) + n * np.eye(n)
+    # n = 200 with entries across the whole matrix: SuperLU factors these
+    n = 200
+    if structure == "wide-sparse":
+        A = sp.random(n, n, density=0.05, random_state=np.random.RandomState(4))
+        return (A + sp.diags(np.full(n, 5.0))).tocsr()
+    A = sp.random(n, n, density=0.05, random_state=np.random.RandomState(5))
+    B = sp.random(n, n, density=0.05, random_state=np.random.RandomState(6))
+    return (A + 1j * B + sp.diags(np.full(n, 5.0 + 1.0j))).tocsr()
 
 
-@pytest.mark.parametrize("structure", ["tridiagonal", "banded", "general-sparse", "dense"])
-def test_lu_factor_solve_all_structures(structure):
+@pytest.mark.parametrize("structure", [
+    "tridiagonal", "banded", "general-sparse", "dense", "wide-sparse",
+    "complex-wide-sparse"])
+def test_factorization_solves_all_structures(structure):
     rng = np.random.default_rng(17)
-    n = 30
-    A, bw = lu_case(structure, n, rng)
+    A = lu_case(structure, rng)
     Ad = A.toarray() if sp.issparse(A) else A
-    fac = lu_factor(A, structure, bandwidths=bw)
+    n = Ad.shape[0]
+    fac = Factorization(A)
+    assert (fac._splu is not None) == structure.endswith("wide-sparse")
     for seed in range(3):
-        b = np.random.default_rng(seed).standard_normal(n)
-        x = fac.solve(b)
-        npt.assert_allclose(Ad @ x, b, atol=1e-10 * np.linalg.norm(b))
-        y = fac.solve(b, adjoint=True)
-        npt.assert_allclose(Ad.conj().T @ y, b, atol=1e-10 * np.linalg.norm(b))
+        g = np.random.default_rng(seed)
+        for b in (g.standard_normal(n), g.standard_normal(n) + 1j * g.standard_normal(n)):
+            x = fac.solve(b)
+            npt.assert_allclose(Ad @ x, b, atol=1e-10 * np.linalg.norm(b))
+            y = fac.solve(b, adjoint=True)
+            npt.assert_allclose(Ad.conj().T @ y, b, atol=1e-10 * np.linalg.norm(b))
 
 
 def test_lu_complex_adjoint_is_conjugate_transpose():
     rng = np.random.default_rng(19)
     A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)) + 8 * np.eye(12)
-    fac = lu_factor(A, "dense")
+    fac = Factorization(A)
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     npt.assert_allclose(A.conj().T @ fac.solve(b, adjoint=True), b, atol=1e-11)
 
 
 def test_lu_singular_matrix_raises():
-    A = np.zeros((4, 4))
     with pytest.raises(FactorizationError):
-        lu_factor(A, "dense")
-    T = np.diag([1.0, 0.0, 2.0])
+        Factorization(np.zeros((4, 4)))
     with pytest.raises(FactorizationError):
-        lu_factor(T, "tridiagonal")
+        Factorization(np.diag([1.0, 0.0, 2.0]))
+    # only the two corner entries: the band spans the whole matrix (SuperLU)
+    n = 200
+    W = sp.coo_matrix(([1.0, 1.0], ([0, n - 1], [n - 1, 0])), shape=(n, n))
+    with pytest.raises(FactorizationError):
+        Factorization(W)
