@@ -18,14 +18,14 @@ import numpy as np
 import scipy.linalg
 
 from .functions import ScalarFunction
-from .inner import _LAG, InnerConfig, approx_fAv
+from .inner import _LAG, InnerPolicy, approx_fAv
 from .outer import InexactnessLedger, RunReport, TripletEstimate
 
 __all__ = ["power_method", "ExpBoundResult", "exp_norm_bound"]
 
 
 def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
-                 inner_cfg: InnerConfig | None = None, seed=0,
+                 inner_policy: InnerPolicy | None = None, seed=0,
                  matrix_label="", function_label="") -> RunReport:
     """Largest singular value of f(A) by power iteration on f(A)^H f(A).
 
@@ -33,16 +33,22 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     and takes lambda = |v^H y| (v is kept unit, so this is the Rayleigh
     quotient; the modulus guards against a stray imaginary part).  The sweep
     stops once the eigenvalue residual ||y - lambda v|| / lambda drops below
-    eps_out, and sigma = sqrt(lambda).  The default inner tolerance is
-    eps_out/100; the stopping test itself uses inexact products, which is
-    reported as-is without correction.  As in ``run``, each inner solve
-    runs its first lagged test at the smaller inner dimension of the
-    previous sweep minus the lag, so ``f(H_k)`` is evaluated only from
-    where that test can use it.
+    eps_out, and sigma = sqrt(lambda).  ``inner_policy`` is the same type
+    ``run`` takes; every sweep uses its fixed ``eps_inner``, by default
+    eps_out/100.  The relaxation schedule belongs to ``run``, so
+    ``relax=True`` raises ValueError.  The stopping test itself uses
+    inexact products, which is reported as-is without correction.  As in
+    ``run``, each inner solve runs its first lagged test at the smaller
+    inner dimension of the previous sweep minus the lag, so ``f(H_k)`` is
+    evaluated only from where that test can use it.
     """
     if not (0.0 < eps_out < 1.0):
         raise ValueError("eps_out must lie in (0, 1)")
-    cfg = inner_cfg or InnerConfig(eps_inner=eps_out / 100.0)
+    policy = inner_policy or InnerPolicy()
+    if policy.relax:
+        raise ValueError("power_method takes a fixed inner tolerance, "
+                         "not relax=True")
+    eps_inner = policy.eps_inner or eps_out / 100.0
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(A.n)
@@ -57,17 +63,19 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     first_test = _LAG + 1  # inner hint, as run keeps it in BidiagState
     it = 0
     for it in range(1, max_iters + 1):
-        r1 = approx_fAv(A, f, v, cfg, adjoint=False, first_test=first_test)
+        r1 = approx_fAv(A, f, v, eps_inner, policy, adjoint=False,
+                        first_test=first_test)
         w = r1.vector
         inner_total += r1.dims_used
         wnorm = float(np.linalg.norm(w))
         if wnorm == 0.0:
             break  # v in the numerical null space of f(A)
-        r2 = approx_fAv(A, f, w, cfg, adjoint=True, first_test=first_test)
+        r2 = approx_fAv(A, f, w, eps_inner, policy, adjoint=True,
+                        first_test=first_test)
         y = r2.vector
         inner_total += r2.dims_used
         first_test = min(r1.dims_used, r2.dims_used) - _LAG
-        ledger.append_step(r1.err_estimate, r2.err_estimate, cfg.eps_inner)
+        ledger.append_step(r1.err_estimate, r2.err_estimate, eps_inner)
         lam = float(abs(np.vdot(v, y)))
         resid = float(np.linalg.norm(y - lam * v))
         if lam > 0.0 and resid / lam <= eps_out:
@@ -90,7 +98,7 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
         inner_total=inner_total,
         inner_avg=inner_total / (2 * it) if it else 0.0,
         wall_time_s=wall, converged=converged, seed=seed,
-        eps_history=[cfg.eps_inner] * len(ledger), ledger=ledger,
+        eps_history=[eps_inner] * len(ledger), ledger=ledger,
         matrix_label=matrix_label, function_label=function_label or f.id,
         method_label="power")
 

@@ -2,10 +2,13 @@
 
 Subcommands:
 
-* ``run``      one table row per (matrix, function) pair, lanczos or power
-* ``triplets`` fixed-vs-relaxed comparison of the leading singular values
-* ``power``    shortcut for ``run --method power``
+* ``run``      bidiagonalization, one table row per (matrix, function) pair
+* ``triplets`` fixed-vs-relaxed comparison of the leading singular values,
+  one row per triplet index
+* ``power``    the power-iteration baseline, rows as for ``run``
 * ``expbound`` Hermitian-part upper bound for the exponential norm
+
+Each subcommand accepts only the flags it reads.
 
 Matrix tokens name a generator plus options, e.g. ``A2``, ``A2:n=400``,
 ``A1:n=1000:seed=7``, ``file:path=m.mtx:shift=10``.  Sigma-like columns are
@@ -21,7 +24,6 @@ import math
 import sys
 
 from . import baselines, operators, outer
-from .inner import InnerConfig
 from .functions import FUNCTION_IDS, get_function
 from .operators import OperatorError
 
@@ -34,8 +36,6 @@ __all__ = [
     "parse_csv",
     "emit_json",
     "parse_json",
-    "run_experiment",
-    "run_multi_triplet",
     "main",
 ]
 
@@ -152,134 +152,94 @@ def _report_to_row(report):
     }
 
 
-class ExperimentConfig:
-    """Validated run configuration shared by the table subcommands."""
-
-    def __init__(self, matrices, functions, method="lanczos", inner="krylov",
-                 eps_out=1e-4, m_max=500, relax=False, seed=0, num_triplets=1,
-                 eps_inner=None, max_inner_dim=300, default_n=10000):
-        if method not in ("lanczos", "power"):
-            raise ValueError(f"method must be lanczos or power, got {method!r}")
-        if inner not in _INNER_METHODS:
-            raise ValueError(f"inner must be one of {sorted(_INNER_METHODS)}")
-        unknown = [f for f in functions if f not in FUNCTION_IDS]
-        if unknown:
-            raise ValueError(f"unknown function id(s): {', '.join(unknown)}")
-        self.matrices = list(matrices)
-        self.functions = list(functions)
-        self.method = method
-        self.inner = inner
-        self.eps_out = float(eps_out)
-        self.m_max = int(m_max)
-        self.relax = bool(relax)
-        self.seed = int(seed)
-        self.num_triplets = int(num_triplets)
-        self.eps_inner = None if eps_inner is None else float(eps_inner)
-        self.max_inner_dim = int(max_inner_dim)
-        self.default_n = int(default_n)
-
-    @property
-    def inner_method(self):
-        return _INNER_METHODS[self.inner]
-
-
-def _build_operators(config, skips):
-    """Resolve matrix tokens; unreadable input files become skips."""
+def _operators(args, labels, skips):
+    """Resolve every matrix token; an unreadable file skips each label."""
     resolved = []
-    for token in config.matrices:
+    for token in args.matrix:
         spec = operators.parse_matrix_token(
-            token, default_n=config.default_n, default_seed=config.seed)
+            token, default_n=args.default_n, default_seed=args.seed)
         try:
             resolved.append((token, operators.build_operator(spec)))
         except (FileNotFoundError, OSError, operators.MatrixMarketError) as exc:
-            for fid in config.functions:
-                skips.append((token, fid, str(exc)))
+            skips.extend((token, label, str(exc)) for label in labels)
     return resolved
 
 
-def run_experiment(config):
-    """One table row per (matrix, function) pair, in config order.
+def _policy(args, relax=False, eps_inner=None):
+    return outer.InnerPolicy(method=_INNER_METHODS[args.inner],
+                             max_dim=args.max_inner_dim, relax=relax,
+                             eps_inner=eps_inner)
 
-    Returns (rows, skips); a skip is (matrix_token, function_id, reason).
-    Unknown tokens or function ids raise instead of skipping.
-    """
-    skips: list = []
+
+def _lanczos(args, token, A, f, policy, num_triplets=1):
+    report = outer.run(A, f, args.eps_out, m_max=args.m_max,
+                       inner_policy=policy, num_triplets=num_triplets,
+                       seed=args.seed, matrix_label=token)
+    if report.aborted:
+        print(f"warning: {token}/{f.id}: {report.aborted}", file=sys.stderr)
+    return report
+
+
+def _report_rows(args, token, A, fid):
+    """``run`` and ``power``: one RUN_COLUMNS row."""
+    f = get_function(fid)
+    if args.command == "power":
+        report = baselines.power_method(
+            A, f, args.eps_out, max_iters=args.m_max,
+            inner_policy=_policy(args, eps_inner=args.eps_inner),
+            seed=args.seed, matrix_label=token)
+    else:
+        report = _lanczos(args, token, A, f,
+                          _policy(args, args.relax, args.eps_inner))
+    return [_report_to_row(report)], [report.converged]
+
+
+def _triplet_rows(args, token, A, fid):
+    """``triplets``: fixed vs relaxed, one TRIPLET_COLUMNS row per index."""
+    f = get_function(fid)
+    fixed, relaxed = (
+        _lanczos(args, token, A, f, policy, num_triplets=args.triplets)
+        for policy in (_policy(args, eps_inner=args.eps_inner),
+                       _policy(args, relax=True)))
     rows = []
-    for token, A in _build_operators(config, skips):
-        for fid in config.functions:
-            f = get_function(fid)
-            if config.method == "power":
-                cfg = InnerConfig(
-                    eps_inner=(config.eps_inner
-                               if config.eps_inner is not None
-                               else config.eps_out / 100.0),
-                    method=config.inner_method, max_dim=config.max_inner_dim)
-                report = baselines.power_method(
-                    A, f, config.eps_out, max_iters=config.m_max,
-                    inner_cfg=cfg, seed=config.seed, matrix_label=token)
-            else:
-                policy = outer.InnerPolicy(
-                    method=config.inner_method, relax=config.relax,
-                    eps_inner=config.eps_inner, max_dim=config.max_inner_dim)
-                report = outer.run(
-                    A, f, config.eps_out, m_max=config.m_max,
-                    inner_policy=policy, num_triplets=config.num_triplets,
-                    seed=config.seed, matrix_label=token)
-                if report.aborted:
-                    print(f"warning: {token}/{fid}: {report.aborted}",
-                          file=sys.stderr)
-            rows.append(_report_to_row(report))
-    return rows, skips
+    for i in range(args.triplets):
+        sf = fixed.triplets[i].theta if i < len(fixed.triplets) else None
+        sr = relaxed.triplets[i].theta if i < len(relaxed.triplets) else None
+        disc = (abs(sf - sr) / sf
+                if sf is not None and sr is not None and sf > 0 else None)
+        rows.append({
+            "matrix": token,
+            "function": fid,
+            "index": i + 1,
+            "sigma_fixed": _clean(round_sig(sf)),
+            "sigma_relaxed": _clean(round_sig(sr)),
+            "rel_discrepancy": _clean(round_sig(disc)),
+        })
+    return rows, [fixed.converged, relaxed.converged]
 
 
-def run_multi_triplet(config):
-    """Fixed-vs-relaxed singular value table (one row per triplet index).
+def _expbound_rows(args, token, A, _label):
+    """``expbound``: one EXPBOUND_COLUMNS row per matrix."""
+    res = baselines.exp_norm_bound(A, sign=args.sign, tol=args.tol,
+                                   max_iters=args.max_iters, seed=args.seed)
+    row = {
+        "matrix": token,
+        "sign": args.sign,
+        "bound": _clean(round_sig(res.bound)),
+        "lambda_max": _clean(round_sig(res.lambda_max)),
+        "iterations": res.iterations,
+        "converged": bool(res.converged),
+    }
+    return [row], [res.converged]
 
-    With num_triplets == 1 this degenerates to the plain experiment table.
-    Returns (rows, skips, columns).
-    """
-    if config.num_triplets < 1:
-        raise ValueError("num_triplets must be >= 1")
-    if config.num_triplets == 1:
-        rows, skips = run_experiment(config)
-        return rows, skips, RUN_COLUMNS
 
-    skips: list = []
-    rows = []
-    for token, A in _build_operators(config, skips):
-        for fid in config.functions:
-            f = get_function(fid)
-            reports = {}
-            for mode, relax_flag in (("fixed", False), ("relaxed", True)):
-                policy = outer.InnerPolicy(
-                    method=config.inner_method, relax=relax_flag,
-                    eps_inner=config.eps_inner if not relax_flag else None,
-                    max_dim=config.max_inner_dim)
-                reports[mode] = outer.run(
-                    A, f, config.eps_out, m_max=config.m_max,
-                    inner_policy=policy, num_triplets=config.num_triplets,
-                    seed=config.seed, matrix_label=token)
-            for rep in reports.values():
-                if rep.aborted:
-                    print(f"warning: {token}/{fid}: {rep.aborted}",
-                          file=sys.stderr)
-            fixed = reports["fixed"].triplets
-            relaxed = reports["relaxed"].triplets
-            for i in range(config.num_triplets):
-                sf = fixed[i].theta if i < len(fixed) else None
-                sr = relaxed[i].theta if i < len(relaxed) else None
-                disc = (abs(sf - sr) / sf
-                        if sf is not None and sr is not None and sf > 0
-                        else None)
-                rows.append({
-                    "matrix": token,
-                    "function": fid,
-                    "index": i + 1,
-                    "sigma_fixed": _clean(round_sig(sf)),
-                    "sigma_relaxed": _clean(round_sig(sr)),
-                    "rel_discrepancy": _clean(round_sig(disc)),
-                })
-    return rows, skips, TRIPLET_COLUMNS
+# subcommand -> (rows of one matrix/label pair, table columns)
+_TABLES = {
+    "run": (_report_rows, RUN_COLUMNS),
+    "power": (_report_rows, RUN_COLUMNS),
+    "triplets": (_triplet_rows, TRIPLET_COLUMNS),
+    "expbound": (_expbound_rows, EXPBOUND_COLUMNS),
+}
 
 
 def _write_output(text, out_path):
@@ -296,40 +256,13 @@ def _emit(rows, columns, args):
     return emit_csv(rows, columns)
 
 
-def _report_skips(skips):
-    for token, fid, reason in skips:
-        print(f"skipped: {token}/{fid}: {reason}", file=sys.stderr)
-
-
-def _add_common_flags(p, with_method=False, with_relax=True):
+def _add_common_flags(p):
     p.add_argument("--matrix", action="append", required=True,
                    metavar="TOKEN",
                    help="matrix token (repeatable): A1..A5, file:path=...; "
                         "options like A2:n=400")
-    p.add_argument("--function", action="append", required=True,
-                   choices=sorted(FUNCTION_IDS), help="scalar function id "
-                   "(repeatable)")
-    if with_method:
-        p.add_argument("--method", choices=("lanczos", "power"),
-                       default="lanczos", help="outer method")
-    p.add_argument("--inner", choices=sorted(_INNER_METHODS), default="krylov",
-                   help="inner subspace family")
-    p.add_argument("--eps-out", type=float, default=1e-4,
-                   help="outer relative tolerance")
-    p.add_argument("--m-max", type=int, default=500,
-                   help="maximum outer steps")
-    if with_relax:
-        p.add_argument("--relax", action="store_true",
-                       help="relax inner tolerances as the residual shrinks")
-    p.add_argument("--eps-inner", type=float, default=None,
-                   help="fixed inner tolerance override "
-                        "(default: eps-out/m-max; power: eps-out/100)")
-    p.add_argument("--max-inner-dim", type=int, default=300,
-                   help="inner subspace dimension cap")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the start vector and seeded generators")
-    p.add_argument("--triplets", type=int, default=1,
-                   help="number of leading triplets to estimate")
     p.add_argument("--n", type=int, default=10000, dest="default_n",
                    help="default matrix size for tokens without n=")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -337,14 +270,22 @@ def _add_common_flags(p, with_method=False, with_relax=True):
                    help="output format")
 
 
-def _config_from_args(args, method=None):
-    return ExperimentConfig(
-        matrices=args.matrix, functions=args.function,
-        method=method or getattr(args, "method", "lanczos"),
-        inner=args.inner, eps_out=args.eps_out, m_max=args.m_max,
-        relax=getattr(args, "relax", False), seed=args.seed,
-        num_triplets=args.triplets, eps_inner=args.eps_inner,
-        max_inner_dim=args.max_inner_dim, default_n=args.default_n)
+def _add_solver_flags(p):
+    _add_common_flags(p)
+    p.add_argument("--function", action="append", required=True,
+                   choices=sorted(FUNCTION_IDS), help="scalar function id "
+                   "(repeatable)")
+    p.add_argument("--inner", choices=sorted(_INNER_METHODS), default="krylov",
+                   help="inner subspace family")
+    p.add_argument("--eps-out", type=float, default=1e-4,
+                   help="outer relative tolerance")
+    p.add_argument("--m-max", type=int, default=500,
+                   help="maximum outer steps")
+    p.add_argument("--eps-inner", type=float, default=None,
+                   help="fixed inner tolerance override "
+                        "(default: eps-out/m-max; power: eps-out/100)")
+    p.add_argument("--max-inner-dim", type=int, default=300,
+                   help="inner subspace dimension cap")
 
 
 def build_parser():
@@ -355,86 +296,56 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="one table row per matrix/function")
-    _add_common_flags(p_run, with_method=True)
+    _add_solver_flags(p_run)
+    p_run.add_argument("--relax", action="store_true",
+                       help="relax inner tolerances as the residual shrinks")
 
     p_tri = sub.add_parser("triplets",
                            help="fixed vs relaxed leading singular values")
-    _add_common_flags(p_tri)
+    _add_solver_flags(p_tri)
+    p_tri.add_argument("--triplets", type=int, default=1,
+                       help="number of leading triplets to estimate")
 
     p_pow = sub.add_parser("power", help="power-iteration baseline rows")
-    _add_common_flags(p_pow, with_relax=False)
+    _add_solver_flags(p_pow)
 
     p_exp = sub.add_parser("expbound",
                            help="log-norm upper bound for ||exp(+/-A)||")
-    p_exp.add_argument("--matrix", action="append", required=True,
-                       metavar="TOKEN")
+    _add_common_flags(p_exp)
     p_exp.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p_exp.add_argument("--tol", type=float, default=1e-6)
     p_exp.add_argument("--max-iters", type=int, default=400)
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--n", type=int, default=10000, dest="default_n")
-    p_exp.add_argument("--out", default=None)
-    p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
-def _cmd_table(args, method=None, multi=False):
+def main(argv=None):
+    """Run one subcommand and write its table.
+
+    Returns 0 when nothing was skipped and every solve behind the table
+    converged (for ``triplets``, the fixed and the relaxed run alike), 1
+    otherwise, and 2 on invalid input.
+    """
+    args = build_parser().parse_args(argv)
+    solve, columns = _TABLES[args.command]
+    labels = ["expbound"] if args.command == "expbound" else args.function
+    skips: list = []
+    rows = []
+    converged = True
     try:
-        config = _config_from_args(args, method=method)
-        if multi:
-            rows, skips, columns = run_multi_triplet(config)
-        else:
-            rows, skips = run_experiment(config)
-            columns = RUN_COLUMNS
+        if args.command == "triplets" and args.triplets < 1:
+            raise ValueError("--triplets must be >= 1")
+        for token, A in _operators(args, labels, skips):
+            for label in labels:
+                new_rows, flags = solve(args, token, A, label)
+                rows += new_rows
+                converged = converged and all(flags)
     except (OperatorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _report_skips(skips)
+    for token, label, reason in skips:
+        print(f"skipped: {token}/{label}: {reason}", file=sys.stderr)
     _write_output(_emit(rows, columns, args), args.out)
-    ok = not skips and all(r.get("converged", True) for r in rows)
-    return 0 if ok else 1
-
-
-def _cmd_expbound(args):
-    rows = []
-    skips = []
-    for token in args.matrix:
-        try:
-            spec = operators.parse_matrix_token(token, default_n=args.default_n,
-                                                default_seed=args.seed)
-            A = operators.build_operator(spec)
-        except (FileNotFoundError, OSError, operators.MatrixMarketError) as exc:
-            skips.append((token, "expbound", str(exc)))
-            continue
-        except OperatorError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        res = baselines.exp_norm_bound(A, sign=args.sign, tol=args.tol,
-                                       max_iters=args.max_iters,
-                                       seed=args.seed)
-        rows.append({
-            "matrix": token,
-            "sign": args.sign,
-            "bound": _clean(round_sig(res.bound)),
-            "lambda_max": _clean(round_sig(res.lambda_max)),
-            "iterations": res.iterations,
-            "converged": bool(res.converged),
-        })
-    _report_skips(skips)
-    _write_output(_emit(rows, EXPBOUND_COLUMNS, args), args.out)
-    ok = not skips and all(r["converged"] for r in rows)
-    return 0 if ok else 1
-
-
-def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_table(args)
-    if args.command == "triplets":
-        return _cmd_table(args, multi=True)
-    if args.command == "power":
-        return _cmd_table(args, method="power")
-    return _cmd_expbound(args)
+    return 0 if converged and not skips else 1
 
 
 if __name__ == "__main__":

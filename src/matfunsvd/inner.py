@@ -44,27 +44,35 @@ from . import densela
 from .functions import DomainError, ScalarFunction
 from .orth import BasisBreakdown, rgs
 
-__all__ = ["InnerConfig", "InnerResult", "approx_fAv"]
+__all__ = ["InnerPolicy", "InnerResult", "approx_fAv"]
 
 _METHODS = ("standard-krylov", "extended-krylov")
 _LAG = 2
 
 
 @dataclass(frozen=True)
-class InnerConfig:
-    """Parameters for one inner solve."""
+class InnerPolicy:
+    """Run-level inner recipe: subspace family, its cap, and the tolerance.
 
-    eps_inner: float
+    ``eps_inner`` fixes the inner tolerance.  Left at None, ``run`` uses
+    eps_out / m_max (relaxed from there when ``relax`` is set) and
+    ``power_method`` eps_out / 100.
+    """
+
     method: str = "standard-krylov"
     max_dim: int = 300
+    relax: bool = False
+    eps_inner: float | None = None
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not (0.0 < self.eps_inner <= 1.0):
-            raise ValueError(f"eps_inner must lie in (0, 1], got {self.eps_inner}")
         if self.max_dim <= _LAG:
             raise ValueError(f"max_dim must exceed the lag {_LAG}")
+        if self.eps_inner is not None and not 0.0 < self.eps_inner <= 1.0:
+            raise ValueError(f"eps_inner must lie in (0, 1], got {self.eps_inner}")
+        if self.relax and self.eps_inner is not None:
+            raise ValueError("relax mode and an explicit eps_inner are exclusive")
 
 
 @dataclass
@@ -141,9 +149,13 @@ def _extended(A, v1, max_dim, adjoint):
     return P, H, expand
 
 
-def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
-               first_test=_LAG + 1) -> InnerResult:
+def approx_fAv(A, f: ScalarFunction, v, eps_inner, policy=InnerPolicy(),
+               adjoint=False, first_test=_LAG + 1) -> InnerResult:
     """Approximate f(A) v (or f(A)^H u = f(A^H) u with adjoint=True).
+
+    ``eps_inner`` is the tolerance of this solve; ``policy`` gives the
+    subspace family and its dimension cap (its own tolerance fields are
+    read by the outer run and the power method, not here).
 
     Step k completes the projected matrix H_k of the chosen family.  The
     first omega test runs at k = first_test, clamped to at most
@@ -172,9 +184,9 @@ def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
     if dtype.kind != "c":
         dtype = np.float64
     v1 = (v / nrm0).astype(dtype)
-    max_dim = min(cfg.max_dim, A.n)
+    max_dim = min(policy.max_dim, A.n)
     first_test = max(min(first_test, max_dim), _LAG + 1)
-    build = _arnoldi if cfg.method == "standard-krylov" else _extended
+    build = _arnoldi if policy.method == "standard-krylov" else _extended
     P, H, expand = build(A, v1, max_dim, adjoint)
     ring = [None] * (_LAG + 1)
     omegas: list = []
@@ -202,7 +214,7 @@ def approx_fAv(A, f: ScalarFunction, v, cfg: InnerConfig, adjoint=False,
         diff = np.hypot(np.linalg.norm(c[:m] - c_old), np.linalg.norm(c[m:]))
         omega = float(diff) / denom if denom else np.inf
         omegas.append(omega)
-        if omega < 1.0 and omega / (1.0 - omega) <= cfg.eps_inner:
+        if omega < 1.0 and omega / (1.0 - omega) <= eps_inner:
             return finish(c_old, omega / (1.0 - omega) * denom, k, True, False)
 
     est = omegas[-1] / (1.0 - omegas[-1]) * np.linalg.norm(c) \

@@ -54,7 +54,7 @@ class MatrixSpec:
 class LinearOperator:
     """A square operator with deterministic matvecs and an adjoint."""
 
-    def __init__(self, matrix, name=""):
+    def __init__(self, matrix):
         if sparse.issparse(matrix):
             mat = matrix.tocsr()
             if np.iscomplexobj(mat.data):
@@ -72,7 +72,6 @@ class LinearOperator:
             raise OperatorError("operator matrix must be square")
         self.n = self._mat.shape[0]
         self.dtype = self._mat.dtype
-        self.name = name
         self._factorization = None
 
     def apply(self, x):
@@ -121,7 +120,7 @@ def _build_a1(spec):
     diag = (1.0 + rho1) + 1j * (rho2 - 0.5)
     mat = sparse.diags([diag, np.full(n - 1, 0.3)], [0, 1], format="csr",
                        dtype=np.complex128)
-    return LinearOperator(mat, name=f"A1(n={n},seed={spec.seed})")
+    return LinearOperator(mat)
 
 
 def _build_a2(spec):
@@ -129,7 +128,7 @@ def _build_a2(spec):
     mat = sparse.diags(
         [np.full(n - 1, 1.5), np.full(n, 2.0), np.full(n - 1, -1.0)],
         [-1, 0, 1], format="csr")
-    return LinearOperator(mat, name=f"A2(n={n})")
+    return LinearOperator(mat)
 
 
 def _build_a3(spec):
@@ -140,18 +139,7 @@ def _build_a3(spec):
         [np.full(n - 7, 4.0), np.full(n - 2, -2.0), np.full(n, 10.0),
          np.full(n - 4, 6.0)],
         [-7, -2, 0, 4], format="csr")
-    return LinearOperator(mat, name=f"A3(n={n})")
-
-
-def _build_a4(spec):
-    if spec.path is None:
-        raise OperatorError("A4 requires a path to a Matrix Market file")
-    raw = read_matrix_market(spec.path)
-    if raw.shape[0] != raw.shape[1]:
-        raise OperatorError("A4 file matrix must be square")
-    shift = 10.0 if spec.shift is None else spec.shift
-    mat = sparse.csr_matrix(raw) + shift * sparse.eye(raw.shape[0], format="csr")
-    return LinearOperator(mat, name=f"A4(path={spec.path},shift={shift:g})")
+    return LinearOperator(mat)
 
 
 def _build_a5(spec):
@@ -170,33 +158,37 @@ def _build_a5(spec):
                        [-1, 0, 1])
     eye = sparse.eye(g)
     mat = (sparse.kron(eye, t1d) + sparse.kron(t1d, eye)).tocsr()
-    return LinearOperator(mat, name=f"A5(n={n})")
+    return LinearOperator(mat)
 
 
-def _build_file(spec, default_shift=0.0):
+_DEFAULT_SHIFT = {"A4": 10.0, "file": 0.0}
+
+
+def _build_file(spec):
+    """A4 and file: a Matrix Market file plus a shift times the identity."""
     if spec.path is None:
-        raise OperatorError("file kind requires a path")
+        raise OperatorError(f"{spec.kind} requires a path to a Matrix Market file")
     raw = read_matrix_market(spec.path)
     if raw.shape[0] != raw.shape[1]:
-        raise OperatorError("file matrix must be square")
-    shift = default_shift if spec.shift is None else spec.shift
+        raise OperatorError(f"{spec.kind} matrix must be square")
+    shift = _DEFAULT_SHIFT[spec.kind] if spec.shift is None else spec.shift
     mat = sparse.csr_matrix(raw)
     if shift != 0.0:
         mat = mat + shift * sparse.eye(mat.shape[0], format="csr")
-    return LinearOperator(mat, name=f"file(path={spec.path})")
+    return LinearOperator(mat)
 
 
 def _build_dense(spec):
     if spec.dense_values is None:
         raise OperatorError("dense kind requires dense_values")
-    return LinearOperator(np.asarray(spec.dense_values), name="dense")
+    return LinearOperator(np.asarray(spec.dense_values))
 
 
 _BUILDERS = {
     "A1": _build_a1,
     "A2": _build_a2,
     "A3": _build_a3,
-    "A4": _build_a4,
+    "A4": _build_file,
     "A5": _build_a5,
     "file": _build_file,
     "dense": _build_dense,

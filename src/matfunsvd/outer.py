@@ -31,7 +31,7 @@ import numpy as np
 from . import relax
 from .densela import eig_dense
 from .functions import DomainError, ScalarFunction
-from .inner import _LAG, InnerConfig, approx_fAv
+from .inner import _LAG, InnerPolicy, approx_fAv
 from .orth import BasisBreakdown, GrowingBasis, rgs
 
 __all__ = [
@@ -65,20 +65,6 @@ class InexactnessLedger:
 
     def __len__(self):
         return len(self.g1)
-
-
-@dataclass(frozen=True)
-class InnerPolicy:
-    """Run-level recipe for inner tolerances and the subspace method."""
-
-    method: str = "standard-krylov"
-    max_dim: int = 300
-    relax: bool = False
-    eps_inner: float | None = None  # explicit fixed override
-
-    def __post_init__(self):
-        if self.relax and self.eps_inner is not None:
-            raise ValueError("relax mode and an explicit eps_inner are exclusive")
 
 
 @dataclass
@@ -160,14 +146,14 @@ class StepInfo:
     inner_converged: bool = True
 
 
-def bidiag_step(state: BidiagState, A, f: ScalarFunction,
-                inner_cfg: InnerConfig) -> StepInfo:
+def bidiag_step(state: BidiagState, A, f: ScalarFunction, eps_inner,
+                policy: InnerPolicy) -> StepInfo:
     """Advance the bidiagonalization by one step (two inner solves)."""
     if state.exhausted:
         raise RuntimeError("right basis is exhausted; cannot step further")
     v_j = state.V.column(state.j)
 
-    r1 = approx_fAv(A, f, v_j, inner_cfg, adjoint=False,
+    r1 = approx_fAv(A, f, v_j, eps_inner, policy, adjoint=False,
                     first_test=state.first_test)
     try:
         u_j, m_coeffs = rgs(r1.vector, state.U.matrix())
@@ -178,7 +164,7 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction,
                         inner_converged=r1.converged)
     state.U.append(u_j)
 
-    r2 = approx_fAv(A, f, u_j, inner_cfg, adjoint=True,
+    r2 = approx_fAv(A, f, u_j, eps_inner, policy, adjoint=True,
                     first_test=state.first_test)
     try:
         v_next, t_coeffs = rgs(r2.vector, state.V.matrix())
@@ -192,8 +178,7 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction,
     state.append_columns(m_coeffs, t_coeffs)
     if v_next is not None:
         state.V.append(v_next)
-    state.ledger.append_step(r1.err_estimate, r2.err_estimate,
-                             inner_cfg.eps_inner)
+    state.ledger.append_step(r1.err_estimate, r2.err_estimate, eps_inner)
     return StepInfo(
         status="exhausted-V" if v_next is None else "ok",
         inner_dims=r1.dims_used + r2.dims_used,
@@ -388,10 +373,8 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
         else:
             eps_k = relax.next_tolerance(k, prev[0], prev[1], prev[2],
                                          eps_out, m_max)
-        cfg = InnerConfig(eps_inner=eps_k, method=policy.method,
-                          max_dim=policy.max_dim)
         try:
-            info = bidiag_step(state, A, f, cfg)
+            info = bidiag_step(state, A, f, eps_k, policy)
         except DomainError as exc:
             aborted = f"domain error in inner solve: {exc}"
             break

@@ -13,7 +13,6 @@ from matfunsvd import (
     power_method,
     run,
 )
-from matfunsvd.inner import InnerConfig
 
 import matfunsvd.densela
 import oracles
@@ -63,7 +62,7 @@ def test_power_is_costlier_than_bidiag_on_gapped_problem():
 def test_power_report_accounting():
     A = op("A2:n=60")
     rep = power_method(A, get_function("exp"), 1e-3,
-                       inner_cfg=InnerConfig(eps_inner=1e-6), seed=2,
+                       inner_policy=InnerPolicy(eps_inner=1e-6), seed=2,
                        matrix_label="A2:n=60")
     assert len(rep.ledger) == rep.outer_iters
     assert rep.eps_history == [1e-6] * rep.outer_iters
@@ -83,8 +82,8 @@ def test_power_passes_the_inner_dimension_hint(monkeypatch):
 
     monkeypatch.setattr(matfunsvd.densela, "dense_matfun", counting_matfun)
     rep = power_method(op("A5:n=400"), get_function("invsqrt"), 1e-6,
-                       inner_cfg=InnerConfig(eps_inner=1e-8,
-                                             method="extended-krylov"),
+                       inner_policy=InnerPolicy(eps_inner=1e-8,
+                                                method="extended-krylov"),
                        seed=1)
     assert rep.converged and rep.outer_iters > 2
     # without the hint every inner step evaluates f(H_k): one call per dim

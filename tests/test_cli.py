@@ -12,14 +12,12 @@ from matfunsvd.cli import (
     EXPBOUND_COLUMNS,
     RUN_COLUMNS,
     TRIPLET_COLUMNS,
-    ExperimentConfig,
+    build_parser,
     emit_csv,
     emit_json,
     parse_csv,
     parse_json,
     round_sig,
-    run_experiment,
-    run_multi_triplet,
 )
 
 import oracles
@@ -91,25 +89,27 @@ def test_json_mirrors_csv():
 # experiment driver
 
 
-def small_config(**kw):
-    base = dict(matrices=["A2:n=60"], functions=["exp"], eps_out=1e-3,
-                eps_inner=1e-7, seed=0)
-    base.update(kw)
-    return ExperimentConfig(**base)
+SMALL = ["--matrix", "A2:n=60", "--function", "exp", "--eps-out", "1e-3",
+         "--eps-inner", "1e-7", "--seed", "0"]
+
+
+def table(capsys, command, *argv):
+    """Exit code, parsed rows and stderr of one cli.main call."""
+    code = cli.main([command, *argv])
+    captured = capsys.readouterr()
+    return code, parse_csv(captured.out) if captured.out else [], captured.err
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="method"):
-        small_config(method="secant")
-    with pytest.raises(ValueError, match="inner"):
-        small_config(inner="chebyshev")
-    with pytest.raises(ValueError, match="unknown function"):
-        small_config(functions=["exp", "tanh"])
+    parser = build_parser()
+    for extra in (["--inner", "chebyshev"], ["--function", "tanh"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", *SMALL, *extra])
 
 
-def test_run_experiment_row_shape():
-    rows, skips = run_experiment(small_config())
-    assert skips == [] and len(rows) == 1
+def test_run_row_shape(capsys):
+    code, rows, err = table(capsys, "run", *SMALL)
+    assert code == 0 and err == "" and len(rows) == 1
     row = rows[0]
     assert set(row) == set(RUN_COLUMNS)
     assert row["matrix"] == "A2:n=60" and row["function"] == "exp"
@@ -121,33 +121,35 @@ def test_run_experiment_row_shape():
                         rtol=1e-3)
 
 
-def test_run_experiment_deterministic_modulo_time():
-    cfg = small_config(functions=["exp", "sqrt"])
+def test_run_deterministic_modulo_time(capsys):
     twice = []
     for _ in range(2):
-        rows, _ = run_experiment(cfg)
+        _, rows, _ = table(capsys, "run", *SMALL, "--function", "sqrt")
         twice.append([{k: v for k, v in r.items() if k != "time_s"}
                       for r in rows])
-    assert twice[0] == twice[1]
+    assert len(twice[0]) == 2 and twice[0] == twice[1]
 
 
-def test_run_experiment_skips_missing_file():
-    cfg = small_config(matrices=["file:path=/nonexistent/m.mtx", "A2:n=40"],
-                       functions=["exp", "expneg"])
-    rows, skips = run_experiment(cfg)
+def test_run_skips_missing_file(capsys):
+    code, rows, err = table(
+        capsys, "run", "--matrix", "file:path=/nonexistent/m.mtx",
+        "--matrix", "A2:n=40", "--function", "exp", "--function", "expneg",
+        "--eps-out", "1e-3", "--eps-inner", "1e-7")
+    assert code == 1
     assert [r["matrix"] for r in rows] == ["A2:n=40", "A2:n=40"]
-    assert [(t, f) for t, f, _ in skips] == [
-        ("file:path=/nonexistent/m.mtx", "exp"),
-        ("file:path=/nonexistent/m.mtx", "expneg"),
+    skips = [line for line in err.splitlines() if line.startswith("skipped:")]
+    assert [line.split(": ")[1] for line in skips] == [
+        "file:path=/nonexistent/m.mtx/exp",
+        "file:path=/nonexistent/m.mtx/expneg",
     ]
-    assert all(reason for _, _, reason in skips)
+    assert all(line.split(": ", 2)[2] for line in skips)
 
 
-def test_multi_triplet_against_dense_svd():
-    cfg = small_config(matrices=["A2:n=80"], eps_out=1e-6, eps_inner=1e-10,
-                       num_triplets=3)
-    rows, skips, columns = run_multi_triplet(cfg)
-    assert skips == [] and columns == TRIPLET_COLUMNS
+def test_multi_triplet_against_dense_svd(capsys):
+    code, rows, err = table(capsys, "triplets", "--matrix", "A2:n=80",
+                            "--function", "exp", "--eps-out", "1e-6",
+                            "--eps-inner", "1e-10", "--triplets", "3")
+    assert code == 0 and err == "" and list(rows[0]) == list(TRIPLET_COLUMNS)
     assert [r["index"] for r in rows] == [1, 2, 3]
     A = cli.operators.build_operator(cli.operators.parse_matrix_token("A2:n=80"))
     sv = np.linalg.svd(oracles.dense_fA(A.to_dense(), "exp"),
@@ -159,11 +161,21 @@ def test_multi_triplet_against_dense_svd():
         assert row["rel_discrepancy"] <= 1e-5
 
 
-def test_multi_triplet_degenerates_to_run_table():
-    rows, skips, columns = run_multi_triplet(small_config(num_triplets=1))
-    assert columns == RUN_COLUMNS and len(rows) == 1
-    with pytest.raises(ValueError, match="num_triplets"):
-        run_multi_triplet(small_config(num_triplets=0))
+def test_multi_triplet_one_index_is_one_triplet_row(capsys):
+    code, rows, _ = table(capsys, "triplets", *SMALL, "--triplets", "1")
+    assert code == 0 and len(rows) == 1
+    assert list(rows[0]) == list(TRIPLET_COLUMNS) and rows[0]["index"] == 1
+    code, rows, err = table(capsys, "triplets", *SMALL, "--triplets", "0")
+    assert code == 2 and rows == [] and "triplets" in err
+
+
+def test_multi_triplet_unconverged_exits_1(capsys):
+    # the table has no converged column; the exit status still counts the
+    # fixed and the relaxed run of every row
+    code, rows, _ = table(capsys, "triplets", "--matrix", "A2:n=60",
+                          "--function", "exp", "--eps-out", "1e-10",
+                          "--m-max", "2", "--triplets", "2")
+    assert code == 1 and [r["index"] for r in rows] == [1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from matfunsvd import DomainError, build_operator, get_function
-from matfunsvd.inner import InnerConfig, approx_fAv
+from matfunsvd.inner import InnerPolicy, approx_fAv
 from matfunsvd.operators import parse_matrix_token
 
 import matfunsvd.inner
@@ -29,7 +29,7 @@ def true_apply(A_dense, fid, v, adjoint=False):
 def test_identity_operator_breaks_down_exactly():
     A = oracles.make_operator_from_dense(np.eye(8))
     v = np.random.default_rng(0).standard_normal(8)
-    res = approx_fAv(A, get_function("exp"), v, InnerConfig(eps_inner=1e-8))
+    res = approx_fAv(A, get_function("exp"), v, 1e-8)
     assert res.breakdown and res.converged
     assert res.dims_used == 1
     assert res.err_estimate == 0.0
@@ -40,7 +40,7 @@ def test_invariant_start_vector_eksm_breakdown():
     A = oracles.make_operator_from_dense(np.diag([2.0, 3.0, 5.0]))
     v = np.array([1.0, 0.0, 0.0])
     res = approx_fAv(A, get_function("sqrt"), v,
-                     InnerConfig(eps_inner=1e-8, method="extended-krylov"))
+                     1e-8, InnerPolicy(method="extended-krylov"))
     assert res.breakdown and res.converged
     npt.assert_allclose(res.vector, [np.sqrt(2.0), 0.0, 0.0], rtol=1e-14)
 
@@ -51,7 +51,7 @@ def test_two_column_invariant_subspace_is_exact(method):
     A = oracles.make_operator_from_dense(np.diag(lam))
     v = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
     res = approx_fAv(A, get_function("sqrt"), v,
-                     InnerConfig(eps_inner=1e-8, method=method))
+                     1e-8, InnerPolicy(method=method))
     assert res.breakdown and res.converged
     assert res.dims_used == 2
     assert res.err_estimate == 0.0
@@ -84,7 +84,7 @@ def test_extended_complex_start_vector_on_real_operator(adjoint):
     v = rng.standard_normal(100) + 1j * rng.standard_normal(100)
     v /= np.linalg.norm(v)
     res = approx_fAv(A, get_function("invsqrt"), v,
-                     InnerConfig(eps_inner=1e-10, method="extended-krylov"),
+                     1e-10, InnerPolicy(method="extended-krylov"),
                      adjoint=adjoint)
     assert res.converged and np.iscomplexobj(res.vector)
     want = true_apply(A.to_dense(), "invsqrt", v, adjoint=adjoint)
@@ -97,7 +97,7 @@ def test_standard_krylov_matches_dense_oracle(fid):
     Ad = A.to_dense()
     rng = np.random.default_rng(1)
     v = unit(rng, 100)
-    res = approx_fAv(A, get_function(fid), v, InnerConfig(eps_inner=1e-7))
+    res = approx_fAv(A, get_function(fid), v, 1e-7)
     assert res.converged
     want = true_apply(Ad, fid, v)
     assert np.linalg.norm(res.vector - want) <= 1e-5 * np.linalg.norm(want)
@@ -111,7 +111,7 @@ def test_adjoint_solve_matches_dense_oracle(method, token):
     rng = np.random.default_rng(2)
     u = unit(rng, 100)
     res = approx_fAv(A, get_function("exp"), u,
-                     InnerConfig(eps_inner=1e-8, method=method), adjoint=True)
+                     1e-8, InnerPolicy(method=method), adjoint=True)
     assert res.converged
     want = true_apply(Ad, "exp", u, adjoint=True)
     assert np.linalg.norm(res.vector - want) <= 1e-6 * np.linalg.norm(want)
@@ -122,8 +122,8 @@ def test_extended_needs_fewer_dims_for_invsqrt():
     rng = np.random.default_rng(3)
     v = unit(rng, 400)
     f = get_function("invsqrt")
-    std = approx_fAv(A, f, v, InnerConfig(eps_inner=1e-8))
-    ext = approx_fAv(A, f, v, InnerConfig(eps_inner=1e-8, method="extended-krylov"))
+    std = approx_fAv(A, f, v, 1e-8)
+    ext = approx_fAv(A, f, v, 1e-8, InnerPolicy(method="extended-krylov"))
     assert std.converged and ext.converged
     assert ext.dims_used < std.dims_used
     want = true_apply(A.to_dense(), "invsqrt", v)
@@ -138,7 +138,7 @@ def test_error_estimate_tracks_true_error(fid):
     f = get_function(fid)
     for seed in range(5):
         v = unit(np.random.default_rng(seed), 120)
-        res = approx_fAv(A, f, v, InnerConfig(eps_inner=1e-6))
+        res = approx_fAv(A, f, v, 1e-6)
         want = true_apply(Ad, fid, v)
         true_err = np.linalg.norm(res.vector - want)
         # the lagged estimator may be off by a modest factor, never wildly
@@ -149,7 +149,7 @@ def test_error_estimate_tracks_true_error(fid):
 def test_tiny_tolerance_reaches_near_exactness():
     A = op("A3:n=60")
     v = unit(np.random.default_rng(4), 60)
-    res = approx_fAv(A, get_function("exp"), v, InnerConfig(eps_inner=1e-14))
+    res = approx_fAv(A, get_function("exp"), v, 1e-14)
     want = true_apply(A.to_dense(), "exp", v)
     assert np.linalg.norm(res.vector - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -158,7 +158,7 @@ def test_unconverged_run_is_flagged():
     A = op("A3:n=400")
     v = unit(np.random.default_rng(5), 400)
     res = approx_fAv(A, get_function("exp"), v,
-                     InnerConfig(eps_inner=1e-12, max_dim=8))
+                     1e-12, InnerPolicy(max_dim=8))
     assert not res.converged
     assert res.dims_used == 8
     assert res.vector is not None and np.all(np.isfinite(res.vector))
@@ -175,7 +175,7 @@ def test_coefficient_omega_matches_iterate_difference(method, fid):
     z = {}
     for k in range(3, 13):
         res = approx_fAv(A, get_function(fid), v,
-                         InnerConfig(eps_inner=1e-15, method=method, max_dim=k))
+                         1e-15, InnerPolicy(method=method, max_dim=k))
         assert not res.converged and res.dims_used == k
         z[k] = res.vector
         if k < 5:
@@ -204,7 +204,7 @@ def test_bases_are_column_major(monkeypatch, method, fid):
     A = op("A3:n=400")
     v = unit(np.random.default_rng(5), 400)
     res = approx_fAv(A, get_function(fid), v,
-                     InnerConfig(eps_inner=1e-8, method=method))
+                     1e-8, InnerPolicy(method=method))
     assert res.converged
     assert flags and all(flags)
 
@@ -218,8 +218,8 @@ def test_first_test_at_or_below_return_is_bitwise_equal(monkeypatch, method, fid
     A = op("A3:n=400")
     v = unit(np.random.default_rng(5), 400)
     f = get_function(fid)
-    cfg = InnerConfig(eps_inner=1e-8, method=method)
-    full = approx_fAv(A, f, v, cfg)
+    policy = InnerPolicy(method=method)
+    full = approx_fAv(A, f, v, 1e-8, policy)
     assert full.converged and not full.breakdown
     calls = []
     original = matfunsvd.densela.dense_matfun
@@ -231,7 +231,7 @@ def test_first_test_at_or_below_return_is_bitwise_equal(monkeypatch, method, fid
     monkeypatch.setattr(matfunsvd.densela, "dense_matfun", counting_matfun)
     for first_test in range(3, full.dims_used + 1):
         calls.clear()
-        res = approx_fAv(A, f, v, cfg, first_test=first_test)
+        res = approx_fAv(A, f, v, 1e-8, policy, first_test=first_test)
         assert np.array_equal(res.vector, full.vector)
         assert res.err_estimate == full.err_estimate
         assert res.dims_used == full.dims_used
@@ -245,12 +245,12 @@ def test_first_test_above_return_converges_at_the_hint(method, fid):
     A = op("A3:n=400")
     v = unit(np.random.default_rng(5), 400)
     f = get_function(fid)
-    cfg = InnerConfig(eps_inner=1e-8, method=method)
-    natural = approx_fAv(A, f, v, cfg).dims_used
-    res = approx_fAv(A, f, v, cfg, first_test=natural + 4)
+    policy = InnerPolicy(method=method)
+    natural = approx_fAv(A, f, v, 1e-8, policy).dims_used
+    res = approx_fAv(A, f, v, 1e-8, policy, first_test=natural + 4)
     assert res.converged and not res.breakdown
     assert res.dims_used == natural + 4
-    assert res.err_estimate <= cfg.eps_inner * np.linalg.norm(res.vector)
+    assert res.err_estimate <= 1e-8 * np.linalg.norm(res.vector)
 
 
 @pytest.mark.parametrize("method", ["standard-krylov", "extended-krylov"])
@@ -262,7 +262,7 @@ def test_first_test_evaluates_a_breakdown_below_the_hint(method):
     v = np.zeros(8)
     v[:2] = 1.0 / np.sqrt(2.0)
     res = approx_fAv(A, get_function("sqrt"), v,
-                     InnerConfig(eps_inner=1e-8, method=method), first_test=8)
+                     1e-8, InnerPolicy(method=method), first_test=8)
     assert res.breakdown and res.converged and res.dims_used == 2
     want = np.sqrt(lam) * v
     assert np.linalg.norm(res.vector - want) <= 1e-14 * np.linalg.norm(want)
@@ -273,9 +273,9 @@ def test_first_test_beyond_max_dim_is_clamped():
     # returns the full scan's last iterate and estimate
     A = op("A3:n=400")
     v = unit(np.random.default_rng(5), 400)
-    cfg = InnerConfig(eps_inner=1e-12, max_dim=8)
-    full = approx_fAv(A, get_function("exp"), v, cfg)
-    res = approx_fAv(A, get_function("exp"), v, cfg, first_test=50)
+    policy = InnerPolicy(max_dim=8)
+    full = approx_fAv(A, get_function("exp"), v, 1e-12, policy)
+    res = approx_fAv(A, get_function("exp"), v, 1e-12, policy, first_test=50)
     assert not res.converged and res.dims_used == 8
     assert np.array_equal(res.vector, full.vector)
     assert res.err_estimate == full.err_estimate
@@ -289,7 +289,7 @@ def test_first_test_keeps_the_domain_guard(n, first_test):
     A = oracles.make_operator_from_dense(np.diag([-1.0] + list(range(2, n + 1))))
     v = np.ones(n) / np.sqrt(n)
     with pytest.raises(DomainError, match="excluded set"):
-        approx_fAv(A, get_function("invsqrt"), v, InnerConfig(eps_inner=1e-8),
+        approx_fAv(A, get_function("invsqrt"), v, 1e-8,
                    first_test=first_test)
 
 
@@ -297,13 +297,13 @@ def test_projected_spectrum_on_cut_raises_with_context():
     A = oracles.make_operator_from_dense(np.diag([-1.0, 2.0]))
     v = np.array([1.0, 2.0]) / np.sqrt(5.0)
     with pytest.raises(DomainError, match="excluded set"):
-        approx_fAv(A, get_function("invsqrt"), v, InnerConfig(eps_inner=1e-8))
+        approx_fAv(A, get_function("invsqrt"), v, 1e-8)
 
 
 def test_keep_basis_returns_orthonormal_span():
     A = op("A2:n=80")
     v = unit(np.random.default_rng(6), 80)
-    res = approx_fAv(A, get_function("exp"), v, InnerConfig(eps_inner=1e-9))
+    res = approx_fAv(A, get_function("exp"), v, 1e-9)
     # the solve is deterministic: rebuilding its basis gives the same columns
     P, _, expand = matfunsvd.inner._arnoldi(A, v, 80, False)
     for k in range(1, res.dims_used):
@@ -318,10 +318,4 @@ def test_keep_basis_returns_orthonormal_span():
 def test_input_validation():
     A = op("A2:n=10")
     with pytest.raises(ValueError):
-        approx_fAv(A, get_function("exp"), np.zeros(10), InnerConfig(eps_inner=1e-8))
-    with pytest.raises(ValueError):
-        InnerConfig(eps_inner=0.0)
-    with pytest.raises(ValueError):
-        InnerConfig(eps_inner=1e-8, method="rational-krylov")
-    with pytest.raises(ValueError):
-        InnerConfig(eps_inner=1e-8, max_dim=2)
+        approx_fAv(A, get_function("exp"), np.zeros(10), 1e-8)

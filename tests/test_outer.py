@@ -10,8 +10,10 @@ from matfunsvd import (
     build_operator,
     get_function,
     parse_matrix_token,
+    power_method,
     run,
 )
+from matfunsvd.cli import build_parser
 from matfunsvd.orth import BasisBreakdown, GrowingBasis, rgs
 from matfunsvd.outer import (BidiagState, _extract, _representatives, build_khat,
                              leading_eigenpair)
@@ -317,6 +319,21 @@ def test_run_input_validation():
         run(A, f, 1e-4, m_max=0)
     with pytest.raises(ValueError):
         InnerPolicy(relax=True, eps_inner=1e-8)
+    # the policy checks every field when it is built
+    for bad in (dict(eps_inner=0.0), dict(eps_inner=2.0),
+                dict(method="rational-krylov"), dict(max_dim=2)):
+        with pytest.raises(ValueError):
+            InnerPolicy(**bad)
+    # the power method takes the same policy but no relaxation schedule
+    with pytest.raises(ValueError, match="relax"):
+        power_method(A, f, 1e-4, inner_policy=InnerPolicy(relax=True))
+    # each subcommand accepts only the flags it reads
+    parser = build_parser()
+    base = ["--matrix", "A2:n=10", "--function", "exp"]
+    for argv in (["run", "--method", "power"], ["run", "--triplets", "3"],
+                 ["triplets", "--relax"], ["power", "--relax"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv[:1] + base + argv[1:])
 
 
 # ---------------------------------------------------------------------------
