@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .functions import ScalarFunction
 from .inner import _LAG, InnerPolicy, approx_fAv
-from .outer import InexactnessLedger, RunReport, TripletEstimate
+from .outer import InexactnessLedger, RunReport, TripletEstimate, _start_vector
 
 __all__ = ["power_method", "ExpBoundResult", "exp_norm_bound"]
 
@@ -44,15 +44,15 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     """
     if not (0.0 < eps_out < 1.0):
         raise ValueError("eps_out must lie in (0, 1)")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     policy = inner_policy or InnerPolicy()
     if policy.relax:
         raise ValueError("power_method takes a fixed inner tolerance, "
                          "not relax=True")
     eps_inner = policy.eps_inner or eps_out / 100.0
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.n)
-    v = (v / np.linalg.norm(v)).astype(A.dtype)
+    v = _start_vector(A.n, A.dtype, seed)
 
     ledger = InexactnessLedger()
     inner_total = 0
@@ -61,7 +61,6 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     resid = np.inf
     w = np.zeros(A.n, dtype=A.dtype)
     first_test = _LAG + 1  # inner hint, as run keeps it in BidiagState
-    it = 0
     for it in range(1, max_iters + 1):
         r1 = approx_fAv(A, f, v, eps_inner, policy, adjoint=False,
                         first_test=first_test)
@@ -96,9 +95,8 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     return RunReport(
         sigma=sigma, triplets=[triplet], outer_iters=it,
         inner_total=inner_total,
-        inner_avg=inner_total / (2 * it) if it else 0.0,
-        wall_time_s=wall, converged=converged, seed=seed,
-        eps_history=[eps_inner] * len(ledger), ledger=ledger,
+        inner_avg=inner_total / (2 * it),
+        wall_time_s=wall, converged=converged, seed=seed, ledger=ledger,
         matrix_label=matrix_label, function_label=function_label or f.id,
         method_label="power")
 
@@ -128,6 +126,8 @@ def exp_norm_bound(A, sign=1, tol=1e-6, max_iters=400, seed=0):
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     n = A.n
 
     def herm_apply(x):

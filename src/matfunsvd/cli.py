@@ -138,18 +138,10 @@ def parse_json(text):
 
 
 def _report_to_row(report):
-    return {
-        "matrix": report.matrix_label,
-        "function": report.function_label,
-        "sigma": _clean(round_sig(report.sigma)),
-        "rel_gap_second": _clean(round_sig(report.rel_gap_second)),
-        "outer": report.outer_iters,
-        "inner_total": report.inner_total,
-        "inner_avg": report.inner_avg,
-        "time_s": report.wall_time_s,
-        "converged": bool(report.converged),
-        "gap_bound": _clean(round_sig(report.gap_bound)),
-    }
+    row = report.to_json_dict()
+    for key in ("sigma", "rel_gap_second", "gap_bound"):
+        row[key] = _clean(round_sig(row[key]))
+    return row
 
 
 def _operators(args, labels, skips):

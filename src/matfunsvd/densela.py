@@ -4,9 +4,9 @@ Everything here operates on small dense matrices (projected Hessenberg /
 coupling matrices, shifted blocks), apart from ``Factorization``, the one LU
 of a large operator: LAPACK's band LU for a narrow band, SuperLU otherwise.
 Eigen/SVD/LU work is delegated to LAPACK and SuperLU;
-``dense_matfun`` evaluates the first column f(H) e1 of a matrix function:
-scipy's ``expm`` for the exponential, and for the branch-cut functions
-scipy's Schur square root behind a guard on the eigenvalues.
+``dense_matfun`` evaluates the first column f(H) e1 of a matrix function
+by the rule its catalog entry holds, behind a guard on the eigenvalues for
+the functions with a branch cut.
 """
 
 from dataclasses import dataclass
@@ -92,26 +92,14 @@ def sigma_min_shifted(M, theta):
 def dense_matfun(H, f: ScalarFunction):
     """First column f(H) e1 of the matrix function of a small dense matrix.
 
-    The inner solve needs only c = f(H) e1, so no other column is formed.
-    exp/expneg take the first column of scipy's ``expm`` (scaling and
-    squaring with a Pade approximant; Al-Mohy & Higham, SIMAX 2009).  The
-    branch-cut functions share the principal square root S of H from scipy's
-    blocked Schur method (Deadman, Higham & Ralha 2013; real Schur form for
-    real H, Higham 1987): sqrt returns S e1, invsqrt S^{-1} e1 and phi
-    H^{-1} (exp(-S) - I) e1, each by one vector solve.  They first raise
-    DomainError when an eigenvalue of H lies on the ray (-inf, 0] or within
-    1e-12*||H||_F of it.
+    The inner solve needs only c = f(H) e1, so no other column is formed;
+    the rule is the catalog entry's ``first_column``.  A function with a
+    branch cut first raises DomainError when an eigenvalue of H lies on the
+    ray (-inf, 0] or within 1e-12*||H||_F of it.
     """
     H = _as_square(H)
-    if f.id == "identity":
-        return H[:, 0].copy()
-    if f.id == "exp":
-        return scipy.linalg.expm(H)[:, 0]
-    if f.id == "expneg":
-        return scipy.linalg.expm(-H)[:, 0]
-    if f.id not in ("sqrt", "invsqrt", "phi"):
-        raise ValueError(f"no dense evaluation for function {f.id!r}")
-
+    if not f.has_branch_cut:
+        return f.first_column(H)
     # distance of each eigenvalue to the closed ray (-inf, 0]; ||H||_F bounds
     # ||H||_2 from above, so the tolerance is never looser than a 2-norm one
     lam = eig_dense(H, vectors=False).values
@@ -122,15 +110,7 @@ def dense_matfun(H, f: ScalarFunction):
             f"{f.id}: eigenvalue {lam[bad][0]} lies on (or within 1e-12*||H||_F of) "
             "the excluded ray (-inf, 0]"
         )
-    S = scipy.linalg.sqrtm(H)
-    if f.id == "sqrt":
-        return S[:, 0]
-    e1 = np.zeros(H.shape[0], dtype=S.dtype)
-    e1[0] = 1.0
-    if f.id == "invsqrt":
-        return np.linalg.solve(S, e1)
-    # phi(z) = (exp(-sqrt(z)) - 1) / z
-    return np.linalg.solve(H, scipy.linalg.expm(-S)[:, 0] - e1)
+    return f.first_column(H)
 
 
 # ---------------------------------------------------------------------------

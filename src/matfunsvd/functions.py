@@ -1,15 +1,24 @@
-"""Scalar function catalog.
+"""Function catalog: the one definition of each f the solvers handle.
 
-Every matrix function handled by this package is induced by one of the scalar
-functions registered here.  Functions with a branch cut use the principal
-branch with the cut along the closed ray (-inf, 0]; their evaluators assume
-the argument stays off that ray (matrix-level guards live in densela).
+The solvers need f only through the projected inner problems, as the first
+column f(H) e1 of a small dense H.  Each entry holds that rule and whether
+f has a branch cut.  Functions with a branch cut use the principal branch
+with the cut along the closed ray (-inf, 0]; their rules assume the
+spectrum of H stays off that ray (``densela.dense_matfun`` guards it).
+
+exp/expneg take the first column of scipy's ``expm`` (scaling and squaring
+with a Pade approximant; Al-Mohy & Higham, SIMAX 2009).  The branch-cut
+functions share the principal square root S of H from scipy's blocked Schur
+method (Deadman, Higham & Ralha 2013; real Schur form for real H, Higham
+1987): sqrt returns S e1, invsqrt S^{-1} e1 and phi H^{-1} (exp(-S) - I) e1,
+each by one vector solve.
 """
 
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "DomainError",
@@ -23,69 +32,40 @@ class DomainError(ValueError):
     """Argument (or matrix spectrum) touches the excluded set of a function."""
 
 
-def _expm1_complex(x):
-    """exp(x) - 1 without cancellation, for real or complex arrays.
-
-    numpy.expm1 rejects complex input, so the complex path uses Kahan's
-    formula (exp(x)-1) * x / log(exp(x)), exact in the small-|x| limit.
-    """
-    x = np.asarray(x)
-    if not np.iscomplexobj(x):
-        return np.expm1(x)
-    u = np.exp(x)
-    du = u - 1.0
-    # log(u) == x up to rounding for |Im x| < pi; safe where u != 1
-    logu = np.log(np.where(u == 1.0, np.e, u))
-    out = np.where(u == 1.0, x, du * np.where(x == 0.0, 1.0, x) / np.where(u == 1.0, 1.0, logu))
-    return out
+def _e1(S):
+    e1 = np.zeros(S.shape[0], dtype=S.dtype)
+    e1[0] = 1.0
+    return e1
 
 
-def _phi(z):
-    # phi(z) = (exp(-sqrt(z)) - 1) / z, stabilized through expm1 so the
-    # z -> 0 limit loses no precision (naive form cancels below |z| ~ 1e-8)
-    z = np.asarray(z)
-    w = np.sqrt(z.astype(complex)) if not np.iscomplexobj(z) else np.sqrt(z)
-    val = _expm1_complex(-w) / np.where(z == 0.0, 1.0, z)
-    return val
+def _invsqrt(H):
+    S = scipy.linalg.sqrtm(H)
+    return np.linalg.solve(S, _e1(S))
 
 
-def _invsqrt(z):
-    z = np.asarray(z)
-    w = np.sqrt(z.astype(complex)) if not np.iscomplexobj(z) else np.sqrt(z)
-    return 1.0 / w
-
-
-def _sqrt(z):
-    z = np.asarray(z)
-    return np.sqrt(z.astype(complex)) if not np.iscomplexobj(z) else np.sqrt(z)
+def _phi(H):
+    # phi(z) = (exp(-sqrt(z)) - 1) / z
+    S = scipy.linalg.sqrtm(H)
+    return np.linalg.solve(H, scipy.linalg.expm(-S)[:, 0] - _e1(S))
 
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar function z -> f(z) plus the metadata the solvers need."""
+    """A function f: its id, branch-cut flag and dense rule H -> f(H) e1."""
 
     id: str
-    evaluate: Callable = field(repr=False)
     has_branch_cut: bool
-    description: str
-
-    def __call__(self, z):
-        return self.evaluate(z)
+    first_column: Callable = field(repr=False)
 
 
-_CATALOG = {
-    "exp": ScalarFunction("exp", np.exp, False, "exponential"),
-    "expneg": ScalarFunction("expneg", lambda z: np.exp(-np.asarray(z)), False,
-                             "exponential of the negated argument"),
-    "sqrt": ScalarFunction("sqrt", _sqrt, True,
-                           "principal square root, Re >= 0"),
-    "invsqrt": ScalarFunction("invsqrt", _invsqrt, True,
-                              "principal inverse square root"),
-    "phi": ScalarFunction("phi", _phi, True,
-                          "(exp(-sqrt(z)) - 1)/z, principal branch"),
-    "identity": ScalarFunction("identity", lambda z: np.asarray(z), False,
-                               "identity (exact-mode diagnostics)"),
-}
+_CATALOG = {s.id: s for s in (
+    ScalarFunction("exp", False, lambda H: scipy.linalg.expm(H)[:, 0]),
+    ScalarFunction("expneg", False, lambda H: scipy.linalg.expm(-H)[:, 0]),
+    ScalarFunction("sqrt", True, lambda H: scipy.linalg.sqrtm(H)[:, 0]),
+    ScalarFunction("invsqrt", True, _invsqrt),
+    ScalarFunction("phi", True, _phi),
+    ScalarFunction("identity", False, lambda H: H[:, 0].copy()),
+)}
 
 FUNCTION_IDS = tuple(_CATALOG)
 

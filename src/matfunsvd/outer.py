@@ -297,7 +297,6 @@ class RunReport:
     wall_time_s: float
     converged: bool
     seed: int
-    eps_history: list
     ledger: InexactnessLedger
     matrix_label: str = ""
     function_label: str = ""
@@ -359,7 +358,6 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
     t0 = time.perf_counter()
     state = BidiagState(_start_vector(A.n, A.dtype, seed))
     inner_total = 0
-    eps_history: list = []
     converged = False
     aborted = None
     triplets: list = []
@@ -386,7 +384,6 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
             if not converged:
                 aborted = "left basis breakdown before any completed step"
             break
-        eps_history.append(eps_k)
         triplets, delta = _extract(state, num_triplets)
         lead = triplets[0]
         theta = lead.theta
@@ -408,7 +405,6 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
         sigma=sigma, triplets=triplets, outer_iters=outer,
         inner_total=inner_total,
         inner_avg=inner_total / (2 * outer) if outer else 0.0,
-        wall_time_s=wall, converged=converged, seed=seed,
-        eps_history=eps_history, ledger=state.ledger,
+        wall_time_s=wall, converged=converged, seed=seed, ledger=state.ledger,
         matrix_label=matrix_label, function_label=function_label or f.id,
         aborted=aborted, state=state if keep_state else None)

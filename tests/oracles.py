@@ -11,27 +11,6 @@ from scipy.sparse.linalg import expm_multiply
 FUNCTION_IDS = ("exp", "expneg", "sqrt", "invsqrt", "phi")
 
 
-def scalar_reference(fid, z, dps=50):
-    """High-precision scalar value of the named function via mpmath."""
-    import mpmath
-
-    with mpmath.workdps(dps):
-        w = mpmath.mpc(complex(z))
-        if fid == "exp":
-            r = mpmath.exp(w)
-        elif fid == "expneg":
-            r = mpmath.exp(-w)
-        elif fid == "sqrt":
-            r = mpmath.sqrt(w)
-        elif fid == "invsqrt":
-            r = 1 / mpmath.sqrt(w)
-        elif fid == "phi":
-            r = (mpmath.exp(-mpmath.sqrt(w)) - 1) / w
-        else:
-            raise ValueError(fid)
-        return complex(r)
-
-
 def dense_fA(A, fid):
     """Dense f(A) via scipy building blocks (expm_multiply / fractional power).
 

@@ -227,7 +227,7 @@ def test_criterion_5_relaxed_inner_tolerances():
                   inner_policy=InnerPolicy(method="extended-krylov",
                                            relax=True), seed=SEED)
     assert fixed.converged and relaxed.converged
-    eps_hist = relaxed.eps_history
+    eps_hist = relaxed.ledger.eps_issued
     assert len(eps_hist) >= 3
     assert eps_hist[-3] <= eps_hist[-2] <= eps_hist[-1]
     assert max(eps_hist) > min(eps_hist)  # tolerances actually loosened

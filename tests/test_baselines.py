@@ -65,7 +65,7 @@ def test_power_report_accounting():
                        inner_policy=InnerPolicy(eps_inner=1e-6), seed=2,
                        matrix_label="A2:n=60")
     assert len(rep.ledger) == rep.outer_iters
-    assert rep.eps_history == [1e-6] * rep.outer_iters
+    assert rep.ledger.eps_issued == [1e-6] * rep.outer_iters
     npt.assert_allclose(rep.inner_avg, rep.inner_total / (2 * rep.outer_iters))
     d = rep.to_json_dict()
     assert d["method"] == "power" and d["matrix"] == "A2:n=60"
@@ -100,6 +100,9 @@ def test_power_input_validation():
     A = op("A2:n=10")
     with pytest.raises(ValueError):
         power_method(A, get_function("exp"), 0.0)
+    # as run rejects m_max < 1: no sweep means no sigma to report
+    with pytest.raises(ValueError, match="max_iters"):
+        power_method(A, get_function("exp"), 1e-4, max_iters=0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,5 +160,7 @@ def test_exp_bound_validation_and_exhaustion():
     A = op("A2:n=50")
     with pytest.raises(ValueError):
         exp_norm_bound(A, sign=2)
+    with pytest.raises(ValueError, match="max_iters"):
+        exp_norm_bound(A, max_iters=0)
     res = exp_norm_bound(A, tol=1e-16, max_iters=5)
     assert not res.converged and res.iterations == 5

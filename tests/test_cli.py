@@ -200,6 +200,17 @@ def test_main_unknown_token_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["expbound", "--matrix", "A2:n=10", "--max-iters", "0"],
+    ["power", "--matrix", "A2:n=10", "--function", "exp", "--m-max", "0"],
+])
+def test_main_iteration_cap_below_one_exits_2(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == "error: max_iters must be >= 1\n"
+    assert captured.out == ""
+
+
 def test_main_missing_file_exits_1(capsys):
     code = cli.main(["run", "--matrix", "file:path=/no/such.mtx",
                      "--matrix", "A2:n=40", "--function", "exp",

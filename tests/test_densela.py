@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from matfunsvd import DomainError, get_function
+from matfunsvd import FUNCTION_IDS, DomainError, get_function
 from matfunsvd.densela import (Factorization, FactorizationError, dense_matfun,
                                eig_dense, sigma_min_shifted)
 
@@ -176,6 +176,17 @@ def test_matfun_domain_error_on_cut_spectrum():
     # exp has no excluded set
     npt.assert_allclose(matfun(A, get_function("exp")),
                         np.diag(np.exp([1.0, -2.0, 3.0])), rtol=1e-12)
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_branch_cut_flag_alone_decides_the_guard(fid):
+    f = get_function(fid)
+    H = np.diag([-1.0, 2.0, 3.0])
+    if f.has_branch_cut:
+        with pytest.raises(DomainError):
+            dense_matfun(H, f)
+    else:
+        assert np.all(np.isfinite(dense_matfun(H, f)))
 
 
 def test_matfun_identity_function_is_exact():

@@ -204,7 +204,7 @@ def test_ledger_and_gap_bound_formula():
     st = rep.state
     j = st.j
     assert len(st.ledger) == j == rep.outer_iters
-    assert len(rep.eps_history) == j
+    assert len(rep.ledger.eps_issued) == j
     g1 = np.asarray(st.ledger.g1)
     g2 = np.asarray(st.ledger.g2)
     assert np.all(g1 >= 0) and np.all(g2 >= 0)

@@ -168,7 +168,7 @@ def test_relaxed_run_matches_fixed_run():
     relaxed = run(A, f, eps_out, inner_policy=InnerPolicy(relax=True))
     assert fixed.converged and relaxed.converged
     npt.assert_allclose(relaxed.sigma, fixed.sigma, rtol=10 * eps_out)
-    hist = relaxed.eps_history
+    hist = relaxed.ledger.eps_issued
     assert all(e >= eps_out / 500 - 1e-18 for e in hist)
     assert all(e <= eps_out + 1e-18 for e in hist)
     # tolerances eventually sit above the fixed floor
