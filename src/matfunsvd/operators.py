@@ -153,12 +153,13 @@ def _build_a5(spec):
     # -1 -+ 50 h (downwind/upwind), lexicographic ordering with x fastest
     h = 1.0 / (g + 1)
     c = 50.0 * h
-    one = np.ones(g)
-    t1d = sparse.diags([(-1.0 + c) * one[:-1], 2.0 * one, (-1.0 - c) * one[:-1]],
-                       [-1, 0, 1])
-    eye = sparse.eye(g)
-    mat = (sparse.kron(eye, t1d) + sparse.kron(t1d, eye)).tocsr()
-    return LinearOperator(mat)
+    # x-neighbours only within a grid row: zero the +-1 entries across rows;
+    # +-g is a second diags call because at g = 1 it repeats the +-1 offsets
+    inrow = np.arange(1, n) % g != 0
+    xdir = sparse.diags([(-1.0 + c) * inrow, 4.0, (-1.0 - c) * inrow],
+                        [-1, 0, 1], shape=(n, n))
+    ydir = sparse.diags([-1.0 + c, -1.0 - c], [-g, g], shape=(n, n))
+    return LinearOperator((xdir + ydir).tocsr())
 
 
 _DEFAULT_SHIFT = {"A4": 10.0, "file": 0.0}

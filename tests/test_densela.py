@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from matfunsvd import FUNCTION_IDS, DomainError, get_function
+from matfunsvd import (FUNCTION_IDS, DomainError, build_operator, get_function,
+                       parse_matrix_token)
 from matfunsvd.densela import (Factorization, FactorizationError, dense_matfun,
                                eig_dense, sigma_min_shifted)
 
@@ -210,12 +211,14 @@ def lu_case(structure, rng):
             A += np.diag(rng.standard_normal(n - k) * 0.5, -k)
         return A
     if structure == "general-sparse":
-        # n = 30 keeps the band under _BAND_MAX: the band LU factors it
         A = sp.random(n, n, density=0.15, random_state=np.random.RandomState(4))
         return (A + sp.diags(np.full(n, 5.0))).tocsr()
     if structure == "dense":
         return rng.standard_normal((n, n)) + n * np.eye(n)
-    # n = 200 with entries across the whole matrix: SuperLU factors these
+    if structure == "a5-stencil":
+        return build_operator(parse_matrix_token("A5:n=100")).to_dense()
+    if structure == "complex-bidiagonal":
+        return build_operator(parse_matrix_token("A1:n=100:seed=3")).to_dense()
     n = 200
     if structure == "wide-sparse":
         A = sp.random(n, n, density=0.05, random_state=np.random.RandomState(4))
@@ -227,14 +230,13 @@ def lu_case(structure, rng):
 
 @pytest.mark.parametrize("structure", [
     "tridiagonal", "banded", "general-sparse", "dense", "wide-sparse",
-    "complex-wide-sparse"])
+    "complex-wide-sparse", "a5-stencil", "complex-bidiagonal"])
 def test_factorization_solves_all_structures(structure):
     rng = np.random.default_rng(17)
     A = lu_case(structure, rng)
     Ad = A.toarray() if sp.issparse(A) else A
     n = Ad.shape[0]
     fac = Factorization(A)
-    assert (fac._splu is not None) == structure.endswith("wide-sparse")
     for seed in range(3):
         g = np.random.default_rng(seed)
         for b in (g.standard_normal(n), g.standard_normal(n) + 1j * g.standard_normal(n)):
@@ -257,7 +259,7 @@ def test_lu_singular_matrix_raises():
         Factorization(np.zeros((4, 4)))
     with pytest.raises(FactorizationError):
         Factorization(np.diag([1.0, 0.0, 2.0]))
-    # only the two corner entries: the band spans the whole matrix (SuperLU)
+    # only the two corner entries: structurally singular
     n = 200
     W = sp.coo_matrix(([1.0, 1.0], ([0, n - 1], [n - 1, 0])), shape=(n, n))
     with pytest.raises(FactorizationError):

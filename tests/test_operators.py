@@ -56,12 +56,15 @@ def test_a3_stencil_offsets():
     npt.assert_array_equal(A, want)
 
 
-def test_a5_hand_assembly_g3():
-    # upwinded convection-diffusion stencil on a 3x3 interior grid, h = 1/4:
-    # diagonal 4, west/south -1+50h = 11.5, east/north -1-50h = -13.5
-    A = op("A5:n=9").to_dense()
-    g, c = 3, 12.5
-    want = np.zeros((9, 9))
+@pytest.mark.parametrize("g", [1, 2, 3, 7])
+def test_a5_hand_assembly(g):
+    # upwinded convection-diffusion stencil on a g x g interior grid,
+    # h = 1/(g+1): diagonal 4, west/south -1+50h, east/north -1-50h; g = 1
+    # has no neighbours, and x-neighbours never cross a grid row
+    n = g * g
+    A = op(f"A5:n={n}").to_dense()
+    c = 50.0 / (g + 1)
+    want = np.zeros((n, n))
     for y in range(g):
         for x in range(g):
             k = y * g + x
@@ -75,6 +78,9 @@ def test_a5_hand_assembly_g3():
             if y < g - 1:
                 want[k, k + g] = -1.0 - c
     npt.assert_allclose(A, want, rtol=0, atol=1e-14)
+
+
+def test_a5_rejects_non_square_size():
     with pytest.raises(OperatorError):
         op("A5:n=12")  # not a perfect square
 
