@@ -33,9 +33,7 @@ __all__ = [
     "EXPBOUND_COLUMNS",
     "round_sig",
     "emit_csv",
-    "parse_csv",
     "emit_json",
-    "parse_json",
     "main",
 ]
 
@@ -45,10 +43,6 @@ TRIPLET_COLUMNS = ("matrix", "function", "index", "sigma_fixed",
                    "sigma_relaxed", "rel_discrepancy")
 EXPBOUND_COLUMNS = ("matrix", "sign", "bound", "lambda_max", "iterations",
                     "converged")
-
-_INT_COLUMNS = {"outer", "inner_total", "index", "iterations", "sign"}
-_BOOL_COLUMNS = {"converged"}
-_STR_COLUMNS = {"matrix", "function"}
 
 _INNER_METHODS = {"krylov": "standard-krylov", "eksm": "extended-krylov"}
 
@@ -83,20 +77,6 @@ def _cell_to_str(value):
     return str(value)
 
 
-def _cell_from_str(column, text):
-    if text == "":
-        return None
-    if column in _STR_COLUMNS:
-        return text
-    if column in _BOOL_COLUMNS:
-        if text not in ("true", "false"):
-            raise ValueError(f"bad boolean cell {text!r} in column {column}")
-        return text == "true"
-    if column in _INT_COLUMNS:
-        return int(text)
-    return float(text)
-
-
 def emit_csv(rows, columns=RUN_COLUMNS):
     """Serialize rows (dicts) to CSV text with a header line."""
     buf = io.StringIO()
@@ -107,34 +87,10 @@ def emit_csv(rows, columns=RUN_COLUMNS):
     return buf.getvalue()
 
 
-def parse_csv(text):
-    """Inverse of emit_csv: typed row dicts keyed by the header line."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        columns = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV input") from None
-    rows = []
-    for raw in reader:
-        if not raw:
-            continue
-        if len(raw) != len(columns):
-            raise ValueError(f"row width {len(raw)} != header width {len(columns)}")
-        rows.append({c: _cell_from_str(c, v) for c, v in zip(columns, raw)})
-    return rows
-
-
 def emit_json(rows, columns=RUN_COLUMNS):
     """JSON mirror of the CSV table: a list of objects, same keys and values."""
     payload = [{c: row.get(c) for c in columns} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
-
-
-def parse_json(text):
-    rows = json.loads(text)
-    if not isinstance(rows, list):
-        raise ValueError("expected a JSON array of row objects")
-    return rows
 
 
 def _report_to_row(report):

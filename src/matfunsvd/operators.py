@@ -80,15 +80,6 @@ class LinearOperator:
     def apply_adjoint(self, x):
         return self._adj @ x
 
-    def to_dense(self, limit=4096):
-        if self.n > limit:
-            raise OperatorError(
-                f"refusing to densify an operator of size {self.n} (limit {limit})"
-            )
-        if sparse.issparse(self._mat):
-            return self._mat.toarray()
-        return self._mat.copy()
-
     def factorization(self):
         """LU of the operator, computed once and cached (shared, immutable)."""
         if self._factorization is None:

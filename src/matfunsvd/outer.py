@@ -19,8 +19,8 @@ the principal square root of an eigenvalue and the eigenvector of K is
 (theta, q=[x; y]) is |t_{j+1,j} * x_j| and convergence is declared when it
 drops below eps_out * theta.  Inner error estimates are logged per step;
 their weighted sum bounds the gap between the computed residual and the
-true one.  ``build_khat`` and ``leading_eigenpair`` keep the 2j x 2j form
-as the reference for ``verify_tau`` and the tests.
+true one.  ``relax.verify_tau`` certifies a step-k estimate of a kept state
+with the same j x j solver.
 """
 
 import time
@@ -42,8 +42,6 @@ __all__ = [
     "BidiagState",
     "rgs",
     "bidiag_step",
-    "build_khat",
-    "leading_eigenpair",
     "run",
 ]
 
@@ -185,46 +183,41 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction, eps_inner,
         inner_converged=r1.converged and r2.converged)
 
 
-def build_khat(M, T_square):
-    """Assemble K = [[0, M], [T_square, 0]] from the coupling matrices."""
-    j = M.shape[0]
-    K = np.zeros((2 * j, 2 * j), dtype=np.promote_types(M.dtype, T_square.dtype))
-    K[:j, j:] = M
-    K[j:, :j] = T_square
-    return K
+def _projected_eig(M, T, count):
+    """Eigenpairs of K = [[0, M], [T, 0]] (T square) from the j x j problem.
 
+    K squares to diag(M T, T M), so each eigenpair (lambda, x) of M T gives
+    the two eigenpairs (+/- theta, [x; +/- T x / theta]) of K, theta =
+    sqrt(lambda) the principal root; on the imaginary axis the root with
+    Im >= 0 represents the pair.  Returns the j representatives theta,
+    ordered by modulus descending (then larger real part, then larger
+    imaginary part), and as columns the blocks x (unit) and y = T x / theta
+    of the leading ``count`` of them; y = 0 when theta == 0.
 
-def _representatives(values):
-    """One eigenvalue per +/- pair: positive real part wins, then Im >= 0.
-
-    Sorted by modulus descending with deterministic tie-breaking
-    (larger real part first, then larger imaginary part).
+    Because lambda = theta^2, a trailing theta loses relative accuracy: its
+    absolute error is about eps * theta_max.  M T also squares the range of
+    the entries; the vector norms of the run loop already keep theta within
+    the square root of the floating-point range.
     """
-    keep = (values.real > 0.0) | ((values.real == 0.0) & (values.imag >= 0.0))
-    idx = np.flatnonzero(keep)
-    order = sorted(idx, key=lambda i: (-abs(values[i]), -values[i].real,
-                                       -values[i].imag))
-    return order
+    dec = eig_dense(M @ T)
+    theta = np.sqrt(dec.values)
+    theta[(theta.real == 0.0) & (theta.imag < 0.0)] *= -1.0
+    order = np.lexsort((-theta.imag, -theta.real, -np.abs(theta)))
+    theta, X = theta[order], dec.vectors[:, order[:count]]
+    Y = np.column_stack([T @ x / t if t != 0.0 else np.zeros_like(x)
+                         for x, t in zip(X.T, theta)])
+    return theta, X, Y
 
 
 def _extract(state: BidiagState, num_triplets=1):
     """Triplet estimates plus the leading gap delta (for the relax scheduler).
 
-    Solves the projected problem in its j x j form.  K = [[0, M], [T, 0]]
-    (T square, its first j rows) squares to diag(M T, T M), so each
-    eigenpair (lambda, x) of M T gives the two eigenpairs
-    (+/- theta, [x; +/- T x / theta]) of K, theta = sqrt(lambda) the
-    principal root.  The +theta vector [x; y], scaled to unit length like
-    an eigenvector from eig(K), gives the computed residual t_next * |x_j|,
-    the gap bound and the left/right coefficient vectors; delta is the
-    distance from the leading theta to the rest of the +/- theta spectrum.
-    When theta == 0 both roots vanish and y = 0.
-
-    Because lambda = theta^2, a trailing theta loses relative accuracy: its
-    absolute error is about eps * theta_max.  Only the leading estimates
-    are reported, and in delta that absolute error is harmless.  M T also
-    squares the range of the entries; the vector norms of the run loop
-    already keep theta within the square root of the floating-point range.
+    Each estimate comes from the +theta eigenvector [x; y] of K, scaled to
+    unit length like an eigenvector from eig(K): it gives the computed
+    residual t_next * |x_j|, the gap bound and the left/right coefficient
+    vectors.  delta is the distance from the leading theta to the rest of
+    the +/- theta spectrum, where the absolute error of a trailing theta
+    (see ``_projected_eig``) is harmless.
 
     The estimates carry the unit coefficient vectors of their left and
     right vectors in U and V (length j); ``run`` lifts them to n-vectors
@@ -233,31 +226,21 @@ def _extract(state: BidiagState, num_triplets=1):
     j = state.j
     if j == 0:
         raise ValueError("cannot extract from an empty state")
-    T = state.T[:j]
-    dec = eig_dense(state.M @ T)
-    theta = np.sqrt(dec.values)
-    # every principal root represents its +/- pair; on the imaginary axis
-    # the representative has Im >= 0, as _representatives picks it in K
-    theta[(theta.real == 0.0) & (theta.imag < 0.0)] *= -1.0
-    order = _representatives(theta)
+    theta, X, Y = _projected_eig(state.M, state.T[:j], min(num_triplets, j))
     t_next = state.t_next
     g1 = np.asarray(state.ledger.g1)
     g2 = np.asarray(state.ledger.g2)
 
     triplets = []
-    count = min(num_triplets, len(order))
-    for rank in range(count):
-        i = order[rank]
-        x = dec.vectors[:, i]  # unit
-        y = T @ x / theta[i] if theta[i] != 0.0 else np.zeros(j, dtype=complex)
+    for rank, (x, y) in enumerate(zip(X.T, Y.T)):
         yn = np.linalg.norm(y)
         qn = np.hypot(1.0, yn)  # ||[x; y]||
         residual = t_next * abs(x[j - 1]) / qn
         gap = float(np.sum(np.sqrt(g1 ** 2 * np.abs(y) ** 2
                                    + g2 ** 2 * np.abs(x) ** 2))) / qn
-        modulus = float(abs(theta[i]))
-        if rank + 1 < len(order):
-            theta2 = float(abs(theta[order[rank + 1]]))
+        modulus = float(abs(theta[rank]))
+        if rank + 1 < j:
+            theta2 = float(abs(theta[rank + 1]))
             rel_gap = (modulus - theta2) / modulus if modulus > 0 else np.nan
         else:
             rel_gap = np.nan
@@ -269,20 +252,9 @@ def _extract(state: BidiagState, num_triplets=1):
 
     # smallest distance from the leading eigenvalue of K to the rest of its
     # spectrum (+/- theta), reused by the relaxation scheduler
-    lead = theta[order[0]]
-    others = np.concatenate([np.delete(theta, order[0]), -theta])
-    delta = float(np.min(np.abs(others - lead)))
+    delta = float(np.min(np.abs(np.concatenate([theta[1:], -theta])
+                                - theta[0])))
     return triplets, delta
-
-
-def leading_eigenpair(K):
-    """Leading (+)-representative eigenpair of a block matrix [[0,M],[T,0]]."""
-    dec = eig_dense(K)
-    order = _representatives(dec.values)
-    if not order:
-        raise ValueError("no representative eigenvalue found")
-    i = order[0]
-    return dec.values[i], dec.vectors[:, i]
 
 
 @dataclass

@@ -7,13 +7,14 @@ residual.  The dimensionless quotient delta / (2 m r) is capped at one, so
 the issued tolerance never exceeds eps_out and never drops below the fixed
 floor eps_out/m_max.  Early steps (and degenerate inputs) use the floor.
 
-verify_tau re-checks a step-k estimate against the full projected problem of
-a finished run: the step-k eigenvector is embedded (zero-padded, blocks
+verify_tau re-checks the step-k leading estimate of a finished run against
+its full projected problem K = [[0, M], [T, 0]] at step m.  It reads M and T
+from the run's kept state and takes every eigenpair from the j x j solver
+the run itself uses: the step-k eigenvector is embedded (zero-padded, blocks
 renormalized) into the final 2m-dimensional space, the 2x2 partition induced
 by that embedding is formed explicitly, and a standard invariant-subspace
 perturbation bound certifies how far the embedding can be from a true
-eigenvector of the full projected matrix, with an explicit applicability
-test on the hypotheses.
+eigenvector of K, with an explicit applicability test on the hypotheses.
 """
 
 from dataclasses import dataclass
@@ -21,9 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .densela import eig_dense, sigma_min_shifted
+from . import outer  # imports this module; its solver is read at call time
+from .densela import sigma_min_shifted
 
 __all__ = ["next_tolerance", "TauDiagnostics", "verify_tau"]
+
+_TOL_EIG = 1e-10  # slack on the two inequalities verify_tau asserts
 
 
 def next_tolerance(k, theta_prev, delta_prev, resid_prev, eps_out, m_max):
@@ -69,49 +73,35 @@ class TauDiagnostics:
     tail_bound: float     # tau / sqrt(1 + tau^2)
 
 
-def _embed(q_sub, m):
-    """Zero-pad a 2k-dimensional [x; y] eigenvector into 2m dimensions.
+def verify_tau(state, k):
+    """Certify the step-k leading estimate of a finished run against step m.
 
-    The blocks are normalized separately and weighted by 1/sqrt(2) so the
-    embedded vector is unit whenever both blocks are nonzero.
+    ``state`` is the kept state of a run (``report.state`` after
+    ``run(..., keep_state=True)``), m = ``state.j`` its number of steps, and
+    1 <= k <= m.  The step-k pair (theta, [x; T x / theta]) and the
+    eigenvectors of the full K = [[0, M], [T, 0]] come from the j x j
+    solver ``run`` uses.  When the applicability condition
+    r < delta^2/(4 s) holds, the tail and shift of the best-matching full
+    eigenvector are checked on the spot against the bounds
+    tail <= tau/sqrt(1+tau^2) and shift <= s * tau (with _TOL_EIG slack);
+    condition_ok False skips the checks and just reports numbers.
     """
-    q_sub = np.asarray(q_sub, dtype=complex)
-    k = q_sub.shape[0] // 2
-    if 2 * k != q_sub.shape[0]:
-        raise ValueError("subproblem eigenvector must have even length")
-    if k > m:
-        raise ValueError("subproblem is larger than the full problem")
-    x = q_sub[:k]
-    y = q_sub[k:]
-    xn = np.linalg.norm(x)
-    yn = np.linalg.norm(y)
-    if xn == 0.0 or yn == 0.0:
-        raise ValueError("eigenvector has a vanishing block")
+    if state is None:
+        raise ValueError("verify_tau needs the state of a finished run: "
+                         "run(..., keep_state=True) and pass report.state")
+    m = state.j
+    if not 1 <= k <= m:
+        raise ValueError(f"k must lie in 1..{m} (the steps of the state), "
+                         f"got {k}")
+    M, T = state.M, state.T[:m]
+    K = np.block([[np.zeros((m, m)), M], [T, np.zeros((m, m))]])
+    theta_k, x, y = outer._projected_eig(M[:k, :k], T[:k, :k], 1)
+    theta = complex(theta_k[0])
+    # zero-pad [x; y] into 2m dimensions, each block normalized (x already
+    # is) and weighted by 1/sqrt(2), so the embedding is a unit vector
     qt = np.zeros(2 * m, dtype=complex)
-    qt[:k] = x / (np.sqrt(2.0) * xn)
-    qt[m:m + k] = y / (np.sqrt(2.0) * yn)
-    return qt
-
-
-def verify_tau(K_full, k, theta_k, q_k, tol_eig=1e-10):
-    """Certify a step-k eigenpair against the full projected matrix.
-
-    K_full is the 2m x 2m block matrix of a finished run, (theta_k, q_k) an
-    eigenpair of its step-k leading submatrix (q_k of length 2k).  When the
-    applicability condition r < delta^2/(4 s) holds, the tail and shift of
-    the best-matching full eigenvector are checked on the spot against the
-    bounds tail <= tau/sqrt(1+tau^2) and shift <= s * tau (with tol_eig
-    slack); condition_ok False skips the checks and just reports numbers.
-    """
-    K = np.asarray(K_full)
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % 2:
-        raise ValueError("K_full must be square with even dimension")
-    m = K.shape[0] // 2
-    q_k = np.asarray(q_k, dtype=complex)
-    if q_k.shape[0] != 2 * k:
-        raise ValueError(f"q_k has length {q_k.shape[0]}, expected 2k = {2 * k}")
-    theta = complex(theta_k)
-    qt = _embed(q_k, m)
+    qt[:k] = x[:, 0] / np.sqrt(2.0)
+    qt[m:m + k] = y[:, 0] / (np.sqrt(2.0) * np.linalg.norm(y))
 
     # unitary completion [qt, Y]; qr may flip the leading phase, so realign
     Q, _ = scipy.linalg.qr(qt.reshape(-1, 1), mode="full")
@@ -133,21 +123,23 @@ def verify_tau(K_full, k, theta_k, q_k, tol_eig=1e-10):
     # match the full-problem eigenvector with the largest overlap against
     # the embedding; its coordinates outside the embedded positions form
     # the tail the proposition bounds
-    dec = eig_dense(K)
-    overlaps = np.abs(dec.vectors.conj().T @ qt)
+    theta_m, x_m, y_m = outer._projected_eig(M, T, m)
+    vectors = np.block([[x_m, x_m], [y_m, -y_m]])  # +theta_m, then -theta_m
+    vectors /= np.linalg.norm(vectors, axis=0)
+    overlaps = np.abs(vectors.conj().T @ qt)
     i = int(np.argmax(overlaps))
-    q_match = dec.vectors[:, i]
+    q_match = vectors[:, i]
     inside = np.zeros(2 * m, dtype=bool)
     inside[:k] = True
     inside[m:m + k] = True
     tail_norm = float(np.linalg.norm(q_match[~inside]))
-    lam = dec.values[i]
+    lam = np.concatenate([theta_m, -theta_m])[i]
     theta_shift = float(abs(lam - theta))
 
     if condition_ok:
-        assert tail_norm <= tail_bound + tol_eig, \
+        assert tail_norm <= tail_bound + _TOL_EIG, \
             f"tail {tail_norm:.3e} exceeds bound {tail_bound:.3e}"
-        assert theta_shift <= s_norm * tau + tol_eig, \
+        assert theta_shift <= s_norm * tau + _TOL_EIG, \
             f"shift {theta_shift:.3e} exceeds bound {s_norm * tau:.3e}"
     return TauDiagnostics(
         tau_bound=float(tau), s_norm=s_norm, r_norm=r_norm,

@@ -1,8 +1,11 @@
-"""Independent reference computations shared by the test suite.
+"""Independent reference computations and fixtures shared by the test suite.
 
-Everything here is built on scipy/mpmath primitives that do not share code
-with the package under test, so agreement is meaningful evidence.
+The references are built on numpy/scipy/mpmath primitives that do not share
+code with the package under test, so agreement is meaningful evidence.
 """
+
+import csv
+import io
 
 import numpy as np
 import scipy.linalg
@@ -89,3 +92,101 @@ def make_operator_from_dense(A):
     import matfunsvd as M
 
     return M.build_operator(M.MatrixSpec(kind="dense", dense_values=np.asarray(A)))
+
+
+def dense(A):
+    """The operator as a dense array, through its public matvec."""
+    return A.apply(np.eye(A.n))
+
+
+# ---------------------------------------------------------------------------
+# the projected problem in its 2j x 2j form
+
+
+def khat(M, T):
+    """K = [[0, M], [T, 0]] for square coupling blocks M and T."""
+    return np.block([[np.zeros_like(M), M], [T, np.zeros_like(T)]])
+
+
+def khat_eigenpairs(M, T):
+    """One eigenpair of K = khat(M, T) from each of its +/- pairs.
+
+    np.linalg.eig of the 2j x 2j matrix.  The spectrum of K is symmetric
+    under negation; each pair is found by matching the rightmost remaining
+    eigenvalue lam with the remaining one closest to -lam, so a pair on the
+    imaginary axis counts once whatever signs rounding gives the real parts.
+    Which member represents a pair does not matter to the callers: the
+    other has the eigenvector [x; -y] with the same |x|, |y| and |lam|.
+    Returns the j values, ordered by (-|lam|, -Re lam, -Im lam), and their
+    unit eigenvectors as columns.
+    """
+    lam, vecs = np.linalg.eig(khat(M, T))
+    rest = list(range(lam.size))
+    keep = []
+    while rest:
+        i = max(rest, key=lambda t: (lam[t].real, lam[t].imag))
+        rest.remove(i)
+        rest.remove(min(rest, key=lambda t: abs(lam[t] + lam[i])))
+        keep.append(i)
+    keep.sort(key=lambda t: (-abs(lam[t]), -lam[t].real, -lam[t].imag))
+    vecs = vecs[:, keep]
+    return lam[keep], vecs / np.linalg.norm(vecs, axis=0)
+
+
+def leading_eigenpair(M, T):
+    """The leading (value, unit vector) of khat_eigenpairs(M, T)."""
+    lam, vecs = khat_eigenpairs(M, T)
+    return lam[0], vecs[:, 0]
+
+
+def state_from(M, T, g1, g2):
+    """A BidiagState holding the stored entries of the given coupling
+    matrices (M upper triangular, T (j+1) x j upper Hessenberg) and a
+    ledger with inner error estimates g1, g2."""
+    from matfunsvd.outer import BidiagState
+
+    j = M.shape[0]
+    st = BidiagState(np.ones(3, dtype=M.dtype))
+    for c in range(j):
+        st.append_columns(M[: c + 1, c], T[: c + 2, c])
+        st.ledger.append_step(g1[c], g2[c], 1e-8)
+    return st
+
+
+# ---------------------------------------------------------------------------
+# CLI tables
+
+_INT_COLUMNS = {"outer", "inner_total", "index", "iterations", "sign"}
+_BOOL_COLUMNS = {"converged"}
+_STR_COLUMNS = {"matrix", "function"}
+
+
+def _cell(column, text):
+    if text == "":
+        return None
+    if column in _STR_COLUMNS:
+        return text
+    if column in _BOOL_COLUMNS:
+        if text not in ("true", "false"):
+            raise ValueError(f"bad boolean cell {text!r} in column {column}")
+        return text == "true"
+    if column in _INT_COLUMNS:
+        return int(text)
+    return float(text)
+
+
+def parse_csv(text):
+    """Typed row dicts of a table written by ``cli.emit_csv``."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        columns = next(reader)
+    except StopIteration:
+        raise ValueError("empty CSV input") from None
+    rows = []
+    for raw in reader:
+        if not raw:
+            continue
+        if len(raw) != len(columns):
+            raise ValueError(f"row width {len(raw)} != header width {len(columns)}")
+        rows.append({c: _cell(c, v) for c, v in zip(columns, raw)})
+    return rows

@@ -216,9 +216,11 @@ def lu_case(structure, rng):
     if structure == "dense":
         return rng.standard_normal((n, n)) + n * np.eye(n)
     if structure == "a5-stencil":
-        return build_operator(parse_matrix_token("A5:n=100")).to_dense()
+        return oracles.dense(
+            build_operator(parse_matrix_token("A5:n=100")))
     if structure == "complex-bidiagonal":
-        return build_operator(parse_matrix_token("A1:n=100:seed=3")).to_dense()
+        return oracles.dense(
+            build_operator(parse_matrix_token("A1:n=100:seed=3")))
     n = 200
     if structure == "wide-sparse":
         A = sp.random(n, n, density=0.05, random_state=np.random.RandomState(4))

@@ -26,7 +26,7 @@ def op(token, **kw):
 
 def test_a1_matches_documented_recipe():
     o = op("A1:n=6:seed=42")
-    A = o.to_dense()
+    A = oracles.dense(o)
     rng = np.random.default_rng(42)
     rho1 = rng.random(6)
     rho2 = rng.random(6)
@@ -37,7 +37,7 @@ def test_a1_matches_documented_recipe():
 
 
 def test_a2_entries_by_hand():
-    A = op("A2:n=4").to_dense()
+    A = oracles.dense(op("A2:n=4"))
     want = np.array([
         [2.0, -1.0, 0.0, 0.0],
         [1.5, 2.0, -1.0, 0.0],
@@ -49,7 +49,7 @@ def test_a2_entries_by_hand():
 
 def test_a3_stencil_offsets():
     n = 16
-    A = op(f"A3:n={n}").to_dense()
+    A = oracles.dense(op(f"A3:n={n}"))
     want = np.zeros((n, n))
     for off, val in ((-7, 4.0), (-2, -2.0), (0, 10.0), (4, 6.0)):
         want += np.diag(np.full(n - abs(off), val), off)
@@ -62,7 +62,7 @@ def test_a5_hand_assembly(g):
     # h = 1/(g+1): diagonal 4, west/south -1+50h, east/north -1-50h; g = 1
     # has no neighbours, and x-neighbours never cross a grid row
     n = g * g
-    A = op(f"A5:n={n}").to_dense()
+    A = oracles.dense(op(f"A5:n={n}"))
     c = 50.0 / (g + 1)
     want = np.zeros((n, n))
     for y in range(g):
@@ -87,7 +87,8 @@ def test_a5_rejects_non_square_size():
 
 def test_generators_are_deterministic():
     for token in ("A1:n=20:seed=5", "A2:n=20", "A3:n=20", "A5:n=25"):
-        npt.assert_array_equal(op(token).to_dense(), op(token).to_dense())
+        npt.assert_array_equal(oracles.dense(op(token)),
+                               oracles.dense(op(token)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +114,10 @@ def test_dense_operator_must_be_square(values):
         build_operator(MatrixSpec(kind="dense", dense_values=values))
 
 
-def test_to_dense_refuses_large():
-    o = op("A2:n=5000")
-    with pytest.raises(OperatorError):
-        o.to_dense(limit=4096)
-    assert o.to_dense(limit=5000).shape == (5000, 5000)
-
-
 @pytest.mark.parametrize("token", ["A1:n=40:seed=1", "A2:n=40", "A3:n=40", "A5:n=36"])
 def test_factorization_solves_and_caches(token):
     o = op(token)
-    A = o.to_dense()
+    A = oracles.dense(o)
     fac = o.factorization()
     assert o.factorization() is fac  # cached
     b = np.random.default_rng(3).standard_normal(o.n)
@@ -169,9 +163,9 @@ def test_mm_roundtrip_real_and_shift(tmp_path):
     got = read_matrix_market(path)
     npt.assert_array_equal(got.toarray(), A)
     o = build_operator(MatrixSpec(kind="A4", path=path, shift=10.0))
-    npt.assert_array_equal(o.to_dense(), A + 10.0 * np.eye(6))
+    npt.assert_array_equal(oracles.dense(o), A + 10.0 * np.eye(6))
     o = build_operator(parse_matrix_token(f"file:path={path}"))
-    npt.assert_array_equal(o.to_dense(), A)
+    npt.assert_array_equal(oracles.dense(o), A)
 
 
 def test_mm_complex_coordinate(tmp_path):

@@ -15,8 +15,7 @@ from matfunsvd import (
 )
 from matfunsvd.cli import build_parser
 from matfunsvd.orth import BasisBreakdown, GrowingBasis, rgs
-from matfunsvd.outer import (BidiagState, _extract, _representatives, build_khat,
-                             leading_eigenpair)
+from matfunsvd.outer import _extract
 
 import matfunsvd.densela
 import matfunsvd.outer
@@ -89,9 +88,9 @@ def test_growing_basis_view_and_growth():
 
 
 def test_build_khat_layout_and_pairing():
-    K = build_khat(np.array([[2.0]]), np.array([[2.0]]))
+    K = oracles.khat(np.array([[2.0]]), np.array([[2.0]]))
     npt.assert_array_equal(K, [[0.0, 2.0], [2.0, 0.0]])
-    lam, q = leading_eigenpair(K)
+    lam, q = oracles.leading_eigenpair(np.array([[2.0]]), np.array([[2.0]]))
     npt.assert_allclose(lam, 2.0, rtol=1e-14)
     npt.assert_allclose(abs(q[0]), abs(q[1]), rtol=1e-12)
 
@@ -101,16 +100,32 @@ def test_khat_spectrum_pairs_and_representatives():
     # well-separated nonzero coupling: five clean +/- pairs
     M = np.diag([5.0, 4.0, 3.0, 2.0, 1.0]) + np.diag(np.full(4, 0.3), 1)
     T = M.T + 0.05 * np.tril(rng.standard_normal((5, 5)), -1)
-    K = build_khat(M, T)
-    lam = np.linalg.eigvals(K)
+    lam = np.linalg.eigvals(oracles.khat(M, T))
     # spectrum of [[0,M],[T,0]] is symmetric under negation
     lam_sorted = np.sort_complex(lam)
     neg_sorted = np.sort_complex(-lam)
     npt.assert_allclose(lam_sorted, neg_sorted, atol=1e-10)
-    order = _representatives(lam)
-    assert len(order) == 5
-    mods = [abs(lam[i]) for i in order]
+    reps, _ = oracles.khat_eigenpairs(M, T)
+    assert len(reps) == 5
+    mods = np.abs(reps)
     assert all(a >= b - 1e-14 for a, b in zip(mods, mods[1:]))
+
+
+def test_khat_representatives_keep_one_of_each_imaginary_pair():
+    # M T has a negative eigenvalue; eig(K) returns its +/- i theta pair as
+    # conjugates whose equal real parts are rounding noise of either sign,
+    # so a test on the sign of the real part keeps both members or neither
+    rng = np.random.default_rng(1)
+    M = np.triu(rng.standard_normal((5, 5)))
+    T = np.triu(rng.standard_normal((5, 5)), -1)
+    lam_mt = np.linalg.eigvals(M @ T)
+    assert np.any((lam_mt.real < 0) & (lam_mt.imag == 0))
+    reps, _ = oracles.khat_eigenpairs(M, T)
+    assert len(reps) == 5
+    T_full = np.vstack([T, np.eye(5)[-1:]])
+    got, _ = _extract(oracles.state_from(M, T_full, np.zeros(5), np.zeros(5)),
+                      num_triplets=5)
+    npt.assert_allclose([t.theta for t in got], np.abs(reps), rtol=1e-10)
 
 
 def test_scalar_matrix_run_is_exact_in_one_step():
@@ -145,7 +160,7 @@ def test_exact_mode_recovers_classical_bidiagonal_structure():
     npt.assert_allclose(U.conj().T @ U, np.eye(j), atol=100 * j * np.finfo(float).eps)
     npt.assert_allclose(V.conj().T @ V, np.eye(j), atol=100 * j * np.finfo(float).eps)
     # classical GKL on f(A) = A: sigma estimate matches the true leading value
-    sv = np.linalg.svd(A.to_dense(), compute_uv=False)
+    sv = np.linalg.svd(oracles.dense(A), compute_uv=False)
     npt.assert_allclose(rep.sigma, sv[0], rtol=1e-8)
 
 
@@ -154,7 +169,7 @@ def test_exact_mode_recovers_classical_bidiagonal_structure():
 def test_exact_mode_sigma_matches_dense_svd(token, fid):
     A, rep = exact_state(token, fid, eps_out=1e-9, m_max=40)
     assert rep.converged
-    F = oracles.dense_fA(A.to_dense(), fid)
+    F = oracles.dense_fA(oracles.dense(A), fid)
     sv = np.linalg.svd(F, compute_uv=False)
     npt.assert_allclose(rep.sigma, sv[0], rtol=1e-7)
     # converged triplet satisfies both singular-pair equations
@@ -170,15 +185,15 @@ def test_exact_mode_estimates_are_monotone():
     st = rep.state
     thetas = []
     for j in range(1, st.j + 1):
-        K = build_khat(st.M[:j, :j], st.T[:j, :j])
-        thetas.append(abs(leading_eigenpair(K)[0]))
+        thetas.append(abs(oracles.leading_eigenpair(st.M[:j, :j],
+                                                    st.T[:j, :j])[0]))
     diffs = np.diff(thetas)
     assert np.all(diffs >= -1e-10 * thetas[-1])
 
 
 def test_second_triplet_against_dense_svd():
     A, rep = exact_state("A5:n=49", "exp", eps_out=1e-9, n_triplets=3, m_max=49)
-    F = oracles.dense_fA(A.to_dense(), "exp")
+    F = oracles.dense_fA(oracles.dense(A), "exp")
     sv = np.linalg.svd(F, compute_uv=False)
     # the grid's x/y symmetry makes some singular values double; a single-start
     # Krylov run sees each multiple value once, so compare distinct values
@@ -210,11 +225,7 @@ def test_ledger_and_gap_bound_formula():
     assert np.all(g1 >= 0) and np.all(g2 >= 0)
 
     # independent recomputation of the accumulated-gap bound
-    K = build_khat(st.M, st.T[:j, :j])
-    lam, vecs = np.linalg.eig(K)
-    i = max(np.flatnonzero((lam.real > 0) | ((lam.real == 0) & (lam.imag >= 0))),
-            key=lambda t: abs(lam[t]))
-    q = vecs[:, i] / np.linalg.norm(vecs[:, i])
+    _, q = oracles.leading_eigenpair(st.M, st.T[:j, :j])
     x, y = q[:j], q[j:]
     want = np.sum(np.sqrt(g1 ** 2 * np.abs(y) ** 2 + g2 ** 2 * np.abs(x) ** 2))
     npt.assert_allclose(rep.gap_bound, want, rtol=1e-8)
@@ -231,7 +242,7 @@ def test_residual_definition_matches_state():
     A, rep = exact_state("A5:n=64", "exp", eps_out=1e-7)
     st = rep.state
     j = st.j
-    lam, q = leading_eigenpair(build_khat(st.M, st.T[:j, :j]))
+    lam, q = oracles.leading_eigenpair(st.M, st.T[:j, :j])
     want = st.t_next * abs(q[j - 1])
     npt.assert_allclose(rep.triplets[0].computed_residual, want, rtol=1e-9, atol=1e-13)
     assert rep.triplets[0].computed_residual < 1e-7 * rep.sigma
@@ -340,29 +351,15 @@ def test_run_input_validation():
 # j x j projected problem against the 2j x 2j oracle
 
 
-def state_from(M, T, g1, g2):
-    """A BidiagState holding the given coupling matrices and ledger."""
-    j = M.shape[0]
-    st = BidiagState(np.ones(3, dtype=M.dtype))
-    for c in range(j):
-        st.append_columns(M[: c + 1, c], T[: c + 2, c])
-        st.ledger.append_step(g1[c], g2[c], 1e-8)
-    return st
-
-
 def extract_2j(M, T, g1, g2, num_triplets):
     """Triplets and delta from np.linalg.eig of K = [[0, M], [T, 0]]."""
     j = M.shape[0]
-    lam, vecs = np.linalg.eig(build_khat(M, T[:j]))
-    order = _representatives(lam)
+    lam, vecs = oracles.khat_eigenpairs(M, T[:j])
     out = []
-    for rank in range(min(num_triplets, len(order))):
-        i = order[rank]
-        q = vecs[:, i] / np.linalg.norm(vecs[:, i])
-        x, y = q[:j], q[j:]
-        theta = abs(lam[i])
-        gap2 = ((theta - abs(lam[order[rank + 1]])) / theta
-                if rank + 1 < len(order) else np.nan)
+    for rank in range(min(num_triplets, j)):
+        x, y = vecs[:j, rank], vecs[j:, rank]
+        theta = abs(lam[rank])
+        gap2 = (theta - abs(lam[rank + 1])) / theta if rank + 1 < j else np.nan
         out.append(dict(
             theta=theta, computed_residual=abs(T[j, j - 1]) * abs(x[j - 1]),
             gap_bound=np.sum(np.sqrt(g1 ** 2 * np.abs(y) ** 2
@@ -370,7 +367,9 @@ def extract_2j(M, T, g1, g2, num_triplets):
             theta_gap_second=gap2,
             left=np.abs(x) / np.linalg.norm(x),
             right=np.abs(y) / np.linalg.norm(y)))
-    delta = np.min(np.abs(np.delete(lam, order[0]) - lam[order[0]]))
+    # the leading value's distance to the rest of the full spectrum
+    spectrum = np.linalg.eigvals(oracles.khat(M, T[:j]))
+    delta = np.sort(np.abs(spectrum - lam[0]))[1]
     return out, delta
 
 
@@ -399,7 +398,7 @@ def coupling_case(j, seed, complex_=False, exhausted=False):
 def test_extract_matches_2j_oracle(j, seed, complex_, exhausted):
     M, T, g1, g2 = coupling_case(j, seed, complex_, exhausted)
     want, want_delta = extract_2j(M, T, g1, g2, 3)
-    got, delta = _extract(state_from(M, T, g1, g2), num_triplets=3)
+    got, delta = _extract(oracles.state_from(M, T, g1, g2), num_triplets=3)
     assert len(got) == len(want) == min(3, j)
     for g, w in zip(got, want):
         for key in ("theta", "computed_residual", "gap_bound"):
@@ -427,7 +426,7 @@ def test_extract_real_cases_have_conjugate_theta_pairs(j, seed):
 def test_extract_negative_eigenvalue_of_mt():
     # M T = -4: K has +/- 2i; the representative +2i has y = T x / 2i = 2i
     M, T = np.array([[1.0]]), np.array([[-4.0], [0.5]])
-    (lead,), delta = _extract(state_from(M, T, [1e-8], [2e-8]))
+    (lead,), delta = _extract(oracles.state_from(M, T, [1e-8], [2e-8]))
     npt.assert_allclose(lead.theta, 2.0, rtol=1e-15)
     npt.assert_allclose(delta, 4.0, rtol=1e-15)
     npt.assert_allclose(lead.computed_residual, 0.5 / np.sqrt(5.0), rtol=1e-15)

@@ -12,8 +12,9 @@ from matfunsvd import (
     run,
     verify_tau,
 )
-from matfunsvd.outer import build_khat, leading_eigenpair
 from matfunsvd.relax import next_tolerance
+
+import oracles
 
 EPS_OUT = 1e-4
 M_MAX = 100
@@ -68,16 +69,18 @@ def test_scheduler_bounds_and_monotonicity():
 # verify_tau
 
 
-def symmetric_khat():
+def symmetric_state():
+    # T = M^T and t_next = 0: K = [[0, M], [M^T, 0]] is symmetric
     M = np.diag([3.0, 2.4, 1.7, 1.1]) + np.diag([0.4, 0.3, 0.2], 1)
-    return build_khat(M, M.T)
+    return oracles.state_from(M, np.vstack([M.T, np.zeros(4)]),
+                              np.zeros(4), np.zeros(4))
 
 
 def test_self_certificate_at_full_step():
-    K = symmetric_khat()
-    m = K.shape[0] // 2
-    lam, q = leading_eigenpair(K)
-    diag = verify_tau(K, m, lam, q)
+    st = symmetric_state()
+    m = st.j
+    lam, _ = oracles.leading_eigenpair(st.M, st.T[:m])
+    diag = verify_tau(st, m)
     assert diag.condition_ok
     assert diag.r_norm <= 1e-12
     assert diag.tau_bound <= 1e-11
@@ -95,17 +98,12 @@ def run_state(token, fid, eps_out, eps_inner=1e-10, m_max=300):
     return rep.state
 
 
-def prefix_pair(st, k):
-    Kk = build_khat(st.M[:k, :k], st.T[:k, :k])
-    return leading_eigenpair(Kk)
-
-
 def test_certificate_on_converged_run():
     st = run_state("A2:n=200", "sqrt", 1e-6)
     m = st.j
-    K_full = build_khat(st.M, st.T[:m, :m])
-    theta_k, q_k = prefix_pair(st, m - 1)
-    diag = verify_tau(K_full, m - 1, theta_k, q_k)  # asserts internally
+    theta_k, _ = oracles.leading_eigenpair(st.M[:m - 1, :m - 1],
+                                           st.T[:m - 1, :m - 1])
+    diag = verify_tau(st, m - 1)  # asserts internally
     assert diag.condition_ok
     assert diag.tail_norm <= diag.tail_bound + 1e-10
     assert diag.theta_shift <= diag.s_norm * diag.tau_bound + 1e-10
@@ -116,12 +114,8 @@ def test_certificate_on_converged_run():
 def test_certificate_far_from_convergence_is_weaker():
     st = run_state("A5:n=100", "exp", 1e-8)
     m = st.j
-    K_full = build_khat(st.M, st.T[:m, :m])
-    early = max(3, m // 3)
-    theta_e, q_e = prefix_pair(st, early)
-    diag_e = verify_tau(K_full, early, theta_e, q_e)
-    theta_l, q_l = prefix_pair(st, m - 1)
-    diag_l = verify_tau(K_full, m - 1, theta_l, q_l)
+    diag_e = verify_tau(st, max(3, m // 3))
+    diag_l = verify_tau(st, m - 1)
     assert diag_l.tau_bound < diag_e.tau_bound
     assert diag_l.theta_shift < diag_e.theta_shift + 1e-12
 
@@ -129,31 +123,25 @@ def test_certificate_far_from_convergence_is_weaker():
 def test_certificate_survives_block_perturbation():
     st = run_state("A5:n=49", "exp", 1e-7, m_max=60)
     m = st.j
-    Mm, Tm = st.M.copy(), st.T[:m, :m].copy()
+    # perturb only the entries a state stores: M upper triangular, T upper
+    # Hessenberg; the certified pair comes from the perturbed state itself
     rng = np.random.default_rng(1)
-    Mm += 1e-3 * rng.standard_normal(Mm.shape)
-    Tm += 1e-3 * rng.standard_normal(Tm.shape)
-    K_pert = build_khat(Mm, Tm)
-    # the certified pair must come from the (perturbed) submatrix itself
-    k = m - 1
-    theta_k, q_k = leading_eigenpair(build_khat(Mm[:k, :k], Tm[:k, :k]))
-    diag = verify_tau(K_pert, k, theta_k, q_k)  # asserts when applicable
+    Mm = st.M + 1e-3 * np.triu(rng.standard_normal((m, m)))
+    Tm = st.T + 1e-3 * np.triu(rng.standard_normal((m + 1, m)), -1)
+    pert = oracles.state_from(Mm, Tm, st.ledger.g1, st.ledger.g2)
+    diag = verify_tau(pert, m - 1)  # asserts when applicable
     assert diag.r_norm >= 0 and diag.delta_true >= 0
     if diag.condition_ok:
         assert diag.tail_norm <= diag.tail_bound + 1e-10
 
 
 def test_verify_tau_input_validation():
-    K = symmetric_khat()
-    lam, q = leading_eigenpair(K)
-    with pytest.raises(ValueError):
-        verify_tau(K[:, :5], 4, lam, q)
-    with pytest.raises(ValueError):
-        verify_tau(K, 3, lam, q)  # length mismatch with k
-    with pytest.raises(ValueError):
-        verify_tau(K, 2, lam, np.array([1.0, 0.0, 0.0, 0.0]))  # vanishing block
-    with pytest.raises(ValueError):
-        verify_tau(K, 5, lam, np.zeros(10))  # subproblem larger than full
+    st = symmetric_state()
+    with pytest.raises(ValueError, match="keep_state=True"):
+        verify_tau(None, 1)
+    for k in (0, -1, st.j + 1):
+        with pytest.raises(ValueError, match="k must lie in"):
+            verify_tau(st, k)
 
 
 # ---------------------------------------------------------------------------
