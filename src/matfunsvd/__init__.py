@@ -14,8 +14,7 @@ from .baselines import exp_norm_bound, power_method
 from .functions import DomainError, FUNCTION_IDS, get_function
 from .operators import (MatrixMarketError, MatrixSpec, OperatorError,
                         build_operator, parse_matrix_token)
-from .outer import InnerPolicy, RunReport, TripletEstimate, run
-from .relax import verify_tau
+from .outer import InnerPolicy, RunReport, TripletEstimate, run, verify_tau
 
 __version__ = "0.1.0"
 

@@ -127,7 +127,7 @@ def _extended(A, v1, max_dim, adjoint):
     H = np.zeros((max_dim + 1, max_dim + 1), dtype=v1.dtype)
     P[:, 0] = v1
     W[:, 0] = apply(v1)
-    H[0, 0] = np.vdot(v1, W[:, 0]) if v1.dtype.kind == "c" else v1 @ W[:, 0]
+    H[0, 0] = np.vdot(v1, W[:, 0])
 
     def expand(k):
         c = k - 1

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-__all__ = ["BasisBreakdown", "rgs", "GrowingBasis"]
+__all__ = ["BasisBreakdown", "rgs"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -20,9 +20,10 @@ class BasisBreakdown(Exception):
         self.coeffs = coeffs
 
 
-def rgs(z, basis=None):
+def rgs(z, basis):
     """Two-pass classical Gram-Schmidt against orthonormal columns.
 
+    ``basis`` is an n x k array with orthonormal columns; k may be zero.
     Returns ``(q, coeffs)`` where ``coeffs`` holds the accumulated projection
     coefficients with the normalization appended as the last entry, so that
     ``z == column_stack([basis, q]) @ coeffs`` up to rounding.  Raises
@@ -35,7 +36,7 @@ def rgs(z, basis=None):
     n = z.shape[0]
     znorm = float(np.linalg.norm(z))
 
-    if basis is None or basis.shape[1] == 0:
+    if basis.shape[1] == 0:
         if znorm == 0.0:
             raise BasisBreakdown(np.array([znorm]))
         return z / znorm, np.array([znorm])
@@ -57,33 +58,3 @@ def rgs(z, basis=None):
         raise BasisBreakdown(np.append(coeffs, rnorm))
     return r / rnorm, np.append(coeffs, rnorm)
 
-
-class GrowingBasis:
-    """Column buffer with amortized growth; exposes a no-copy matrix view.
-
-    The buffer is column-major, so each column and the view of the first k
-    columns are contiguous in memory.
-    """
-
-    def __init__(self, n, dtype, capacity=16):
-        self._buf = np.empty((n, capacity), dtype=dtype, order="F")
-        self._k = 0
-
-    @property
-    def k(self):
-        return self._k
-
-    def append(self, col):
-        if self._k == self._buf.shape[1]:
-            bigger = np.empty((self._buf.shape[0], 2 * self._buf.shape[1]),
-                              dtype=self._buf.dtype, order="F")
-            bigger[:, : self._k] = self._buf
-            self._buf = bigger
-        self._buf[:, self._k] = col
-        self._k += 1
-
-    def matrix(self):
-        return self._buf[:, : self._k]
-
-    def column(self, i):
-        return self._buf[:, i]

@@ -7,8 +7,10 @@ Each step applies the two inner approximations
 
 Because the products are inexact, the short recurrences do not truncate: both
 orthogonalizations run against the full bases and every accumulated
-coefficient is kept, written in place into one growing buffer that holds M
-and T.  Singular triplet estimates are the eigenpairs of
+coefficient is kept.  A run takes at most min(m_max, n) steps, so the bases
+and the buffer that holds M and T are allocated once, to that cap, when the
+run starts, and each step writes its columns in place.  Singular triplet
+estimates are the eigenpairs of
 
     K = [[0, M], [T_square, 0]]
 
@@ -19,20 +21,21 @@ the principal square root of an eigenvalue and the eigenvector of K is
 (theta, q=[x; y]) is |t_{j+1,j} * x_j| and convergence is declared when it
 drops below eps_out * theta.  Inner error estimates are logged per step;
 their weighted sum bounds the gap between the computed residual and the
-true one.  ``relax.verify_tau`` certifies a step-k estimate of a kept state
-with the same j x j solver.
+true one.  ``verify_tau`` certifies a step-k estimate of a kept state with
+the same j x j solver.
 """
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import relax
-from .densela import eig_dense
+from .densela import eig_dense, sigma_min_shifted
 from .functions import DomainError, ScalarFunction
 from .inner import _LAG, InnerPolicy, approx_fAv
-from .orth import BasisBreakdown, GrowingBasis, rgs
+from .orth import BasisBreakdown, rgs
 
 __all__ = [
     "InexactnessLedger",
@@ -43,9 +46,11 @@ __all__ = [
     "rgs",
     "bidiag_step",
     "run",
+    "TauDiagnostics",
+    "verify_tau",
 ]
 
-_CAPACITY = 16  # initial column capacity of the coupling-matrix buffer
+_TOL_EIG = 1e-10  # slack on the two inequalities verify_tau asserts
 
 
 @dataclass
@@ -85,26 +90,27 @@ class TripletEstimate:
 class BidiagState:
     """Bases and coupling matrices of the bidiagonalization after j steps.
 
-    M (j x j, upper triangular) and T ((j+1) x j, upper Hessenberg) live in
-    one zero-filled buffer, ``_coupling[0]`` and ``_coupling[1]``, which
-    doubles its column capacity when full, as ``GrowingBasis`` does.  Each
-    step writes one column of each in place; ``M``, ``T`` and ``t_next``
-    read views of the buffer, so nothing is rebuilt per step.
+    Everything is allocated once, for at most cap = min(m_max, n) steps:
+    U and V in column-major n x (cap + 1) buffers, M (j x j, upper
+    triangular) and T ((j+1) x j, upper Hessenberg) in one zero-filled
+    buffer, ``_coupling[0]`` and ``_coupling[1]``.  Each step writes its
+    columns in place.  ``U`` (j columns), ``V`` (j + 1 columns, or j once
+    the right basis is exhausted), ``M``, ``T`` and ``t_next`` read views
+    of the buffers, so nothing is copied or rebuilt per step.
     """
 
-    def __init__(self, v1):
+    def __init__(self, v1, m_max):
         v1 = np.asarray(v1)
         nrm = np.linalg.norm(v1)
         if nrm == 0.0:
             raise ValueError("start vector must be nonzero")
-        self.n = v1.shape[0]
-        self.dtype = v1.dtype
-        self.U = GrowingBasis(self.n, v1.dtype)
-        self.V = GrowingBasis(self.n, v1.dtype)
-        self.V.append(v1 / nrm)
+        n = v1.shape[0]
+        cap = min(m_max, n)
+        self._U = np.empty((n, cap + 1), dtype=v1.dtype, order="F")
+        self._V = np.empty_like(self._U)
+        self._V[:, 0] = v1 / nrm
         self.j = 0
-        self._coupling = np.zeros((2, _CAPACITY + 1, _CAPACITY),
-                                  dtype=v1.dtype)
+        self._coupling = np.zeros((2, cap + 1, cap), dtype=v1.dtype)
         self.ledger = InexactnessLedger()
         self.exhausted = False  # right basis cannot be extended further
         # step of the first lagged test in the next inner solves: the
@@ -114,14 +120,17 @@ class BidiagState:
     def append_columns(self, m_coeffs, t_coeffs):
         """Store column j+1 of M (j+1 entries) and of T (j+2 entries)."""
         j = self.j
-        cap = self._coupling.shape[2]
-        if j == cap:
-            bigger = np.zeros((2, 2 * cap + 1, 2 * cap), dtype=self.dtype)
-            bigger[:, : cap + 1, :cap] = self._coupling
-            self._coupling = bigger
         self._coupling[0, : j + 1, j] = m_coeffs
         self._coupling[1, : j + 2, j] = t_coeffs
         self.j = j + 1
+
+    @property
+    def U(self):
+        return self._U[:, : self.j]
+
+    @property
+    def V(self):
+        return self._V[:, : self.j + (not self.exhausted)]
 
     @property
     def M(self):
@@ -149,23 +158,22 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction, eps_inner,
     """Advance the bidiagonalization by one step (two inner solves)."""
     if state.exhausted:
         raise RuntimeError("right basis is exhausted; cannot step further")
-    v_j = state.V.column(state.j)
-
-    r1 = approx_fAv(A, f, v_j, eps_inner, policy, adjoint=False,
+    j = state.j
+    r1 = approx_fAv(A, f, state._V[:, j], eps_inner, policy, adjoint=False,
                     first_test=state.first_test)
     try:
-        u_j, m_coeffs = rgs(r1.vector, state.U.matrix())
+        u_j, m_coeffs = rgs(r1.vector, state.U)
     except BasisBreakdown:
         # f(A) v_j lies in span(U): the left space is invariant and no new
         # direction exists; the caller finalizes at the previous step
         return StepInfo(status="breakdown-U", inner_dims=r1.dims_used,
                         inner_converged=r1.converged)
-    state.U.append(u_j)
+    state._U[:, j] = u_j
 
     r2 = approx_fAv(A, f, u_j, eps_inner, policy, adjoint=True,
                     first_test=state.first_test)
     try:
-        v_next, t_coeffs = rgs(r2.vector, state.V.matrix())
+        v_next, t_coeffs = rgs(r2.vector, state.V)
     except BasisBreakdown as bd:
         # f(A)^H u_j already lies in span(V): record the projections with the
         # (numerically zero) next coefficient; the computed residual vanishes
@@ -175,7 +183,7 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction, eps_inner,
     state.first_test = min(r1.dims_used, r2.dims_used) - _LAG
     state.append_columns(m_coeffs, t_coeffs)
     if v_next is not None:
-        state.V.append(v_next)
+        state._V[:, j + 1] = v_next
     state.ledger.append_step(r1.err_estimate, r2.err_estimate, eps_inner)
     return StepInfo(
         status="exhausted-V" if v_next is None else "ok",
@@ -258,6 +266,101 @@ def _extract(state: BidiagState, num_triplets=1):
 
 
 @dataclass
+class TauDiagnostics:
+    """Certificate data for one step-k estimate checked at step m."""
+
+    tau_bound: float      # 2 r / delta: bound on the complement coefficients
+    s_norm: float         # || K^H qt - conj(theta) qt ||
+    r_norm: float         # || Y^H K qt ||  (coupling to the complement)
+    delta_true: float     # sigma_min(Y^H K Y - theta I)
+    condition_ok: bool    # r < delta^2 / (4 s): the bound applies
+    tail_norm: float      # norm of the matched eigenvector outside the embedding
+    theta_matched: float  # |eigenvalue| of the best-overlap eigenvector
+    theta_shift: float    # |lambda_matched - theta|
+    tail_bound: float     # tau / sqrt(1 + tau^2)
+
+
+def verify_tau(state, k):
+    """Certify the step-k leading estimate of a finished run against step m.
+
+    ``state`` is the kept state of a run (``report.state`` after
+    ``run(..., keep_state=True)``), m = ``state.j`` its number of steps, and
+    1 <= k <= m.  The step-k pair (theta, [x; T x / theta]) and the
+    eigenvectors of the full K = [[0, M], [T, 0]] come from the j x j
+    solver ``run`` uses.  The step-k eigenvector is embedded (zero-padded,
+    blocks renormalized) into the 2m-dimensional space, and the 2x2
+    partition of K that this embedding induces bounds, by a standard
+    invariant-subspace perturbation argument, how far the embedding can be
+    from a true eigenvector of K.  When the applicability condition
+    r < delta^2/(4 s) holds, the tail and shift of the best-matching full
+    eigenvector are checked on the spot against the bounds
+    tail <= tau/sqrt(1+tau^2) and shift <= s * tau (with _TOL_EIG slack);
+    condition_ok False skips the checks and just reports numbers.
+    """
+    if state is None:
+        raise ValueError("verify_tau needs the state of a finished run: "
+                         "run(..., keep_state=True) and pass report.state")
+    m = state.j
+    if not 1 <= k <= m:
+        raise ValueError(f"k must lie in 1..{m} (the steps of the state), "
+                         f"got {k}")
+    M, T = state.M, state.T[:m]
+    K = np.block([[np.zeros((m, m)), M], [T, np.zeros((m, m))]])
+    theta_k, x, y = _projected_eig(M[:k, :k], T[:k, :k], 1)
+    theta = complex(theta_k[0])
+    # zero-pad [x; y] into 2m dimensions, each block normalized (x already
+    # is) and weighted by 1/sqrt(2), so the embedding is a unit vector
+    qt = np.zeros(2 * m, dtype=complex)
+    qt[:k] = x[:, 0] / np.sqrt(2.0)
+    qt[m:m + k] = y[:, 0] / (np.sqrt(2.0) * np.linalg.norm(y))
+
+    # unitary completion [qt, Y]; qr may flip the leading phase, so realign
+    Q, _ = scipy.linalg.qr(qt.reshape(-1, 1), mode="full")
+    Q[:, 0] *= np.vdot(Q[:, 0], qt)
+    Y = Q[:, 1:]
+
+    s_vec = K.conj().T @ qt - np.conj(theta) * qt
+    s_norm = float(np.linalg.norm(s_vec))
+    r_vec = Y.conj().T @ (K @ qt)
+    r_norm = float(np.linalg.norm(r_vec))
+    B22 = Y.conj().T @ K @ Y
+    delta_true = float(sigma_min_shifted(B22, theta))
+
+    condition_ok = bool(s_norm > 0.0
+                        and r_norm < delta_true ** 2 / (4.0 * s_norm))
+    tau = 2.0 * r_norm / delta_true if delta_true > 0 else np.inf
+    tail_bound = tau / np.sqrt(1.0 + tau ** 2) if np.isfinite(tau) else 1.0
+
+    # match the full-problem eigenvector with the largest overlap against
+    # the embedding; its coordinates outside the embedded positions form
+    # the tail the proposition bounds
+    theta_m, x_m, y_m = _projected_eig(M, T, m)
+    vectors = np.block([[x_m, x_m], [y_m, -y_m]])  # +theta_m, then -theta_m
+    vectors /= np.linalg.norm(vectors, axis=0)
+    overlaps = np.abs(vectors.conj().T @ qt)
+    i = int(np.argmax(overlaps))
+    q_match = vectors[:, i]
+    inside = np.zeros(2 * m, dtype=bool)
+    inside[:k] = True
+    inside[m:m + k] = True
+    tail_norm = float(np.linalg.norm(q_match[~inside]))
+    lam = np.concatenate([theta_m, -theta_m])[i]
+    theta_shift = float(abs(lam - theta))
+
+    if condition_ok:
+        assert tail_norm <= tail_bound + _TOL_EIG, \
+            f"tail {tail_norm:.3e} exceeds bound {tail_bound:.3e}"
+        assert theta_shift <= s_norm * tau + _TOL_EIG, \
+            f"shift {theta_shift:.3e} exceeds bound {s_norm * tau:.3e}"
+    return TauDiagnostics(
+        tau_bound=float(tau), s_norm=s_norm, r_norm=r_norm,
+        delta_true=delta_true, condition_ok=condition_ok,
+        tail_norm=tail_norm, theta_matched=float(abs(lam)),
+        theta_shift=theta_shift,
+        tail_bound=float(tail_bound))
+
+
+@dataclass
 class RunReport:
     """Outcome of one outer run; JSON field names are part of the contract."""
 
@@ -328,14 +431,16 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
     num_triplets = max(1, int(num_triplets))
 
     t0 = time.perf_counter()
-    state = BidiagState(_start_vector(A.n, A.dtype, seed))
+    state = BidiagState(_start_vector(A.n, A.dtype, seed), m_max)
     inner_total = 0
     converged = False
     aborted = None
     triplets: list = []
     prev = None  # (theta, delta, residual) from the previous step
 
-    for k in range(1, m_max + 1):
+    # V fills the whole space within n steps, so a run ends there at the
+    # latest; the state is allocated for no more
+    for k in range(1, min(m_max, A.n) + 1):
         if policy.eps_inner is not None:
             eps_k = policy.eps_inner
         elif not policy.relax or prev is None:
@@ -368,8 +473,8 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
         prev = (theta, delta, lead.computed_residual)
 
     for t in triplets:  # coefficient vectors in U and V -> n-vectors
-        t.left = state.U.matrix()[:, : t.left.shape[0]] @ t.left
-        t.right = state.V.matrix()[:, : t.right.shape[0]] @ t.right
+        t.left = state._U[:, : t.left.shape[0]] @ t.left
+        t.right = state._V[:, : t.right.shape[0]] @ t.right
     wall = time.perf_counter() - t0
     outer = state.j
     sigma = triplets[0].theta if triplets else np.nan

@@ -146,7 +146,7 @@ def state_from(M, T, g1, g2):
     from matfunsvd.outer import BidiagState
 
     j = M.shape[0]
-    st = BidiagState(np.ones(3, dtype=M.dtype))
+    st = BidiagState(np.ones(j + 1, dtype=M.dtype), j)
     for c in range(j):
         st.append_columns(M[: c + 1, c], T[: c + 2, c])
         st.ledger.append_step(g1[c], g2[c], 1e-8)

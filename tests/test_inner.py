@@ -196,7 +196,7 @@ def test_bases_are_column_major(monkeypatch, method, fid):
     flags = []
     original = matfunsvd.inner.rgs
 
-    def recording_rgs(z, basis=None):
+    def recording_rgs(z, basis):
         flags.append(basis.flags.f_contiguous)
         return original(z, basis)
 

@@ -14,7 +14,7 @@ from matfunsvd import (
     run,
 )
 from matfunsvd.cli import build_parser
-from matfunsvd.orth import BasisBreakdown, GrowingBasis, rgs
+from matfunsvd.orth import BasisBreakdown, rgs
 from matfunsvd.outer import _extract
 
 import matfunsvd.densela
@@ -31,7 +31,7 @@ EXACT = InnerPolicy(eps_inner=1e-13)
 
 
 # ---------------------------------------------------------------------------
-# rgs / GrowingBasis
+# rgs
 
 
 def test_rgs_reconstruction_and_order():
@@ -47,11 +47,11 @@ def test_rgs_reconstruction_and_order():
 
 def test_rgs_empty_basis_normalizes():
     z = np.array([3.0, 4.0])
-    q, coeffs = rgs(z)
+    q, coeffs = rgs(z, np.empty((2, 0)))
     npt.assert_allclose(q, [0.6, 0.8])
     npt.assert_allclose(coeffs, [5.0])
     with pytest.raises(BasisBreakdown):
-        rgs(np.zeros(2))
+        rgs(np.zeros(2), np.empty((2, 0)))
 
 
 def test_rgs_breakdown_carries_coefficients():
@@ -70,17 +70,6 @@ def test_rgs_double_pass_handles_near_dependence():
     z = B @ rng.standard_normal(10) + 1e-9 * rng.standard_normal(50)
     q, _ = rgs(z, B)
     assert np.linalg.norm(B.conj().T @ q) <= 1e-12
-
-
-def test_growing_basis_view_and_growth():
-    gb = GrowingBasis(6, np.float64, capacity=2)
-    cols = np.eye(6)
-    for i in range(5):
-        gb.append(cols[:, i])
-    assert gb.k == 5
-    npt.assert_array_equal(gb.matrix(), cols[:, :5])
-    npt.assert_array_equal(gb.column(3), cols[:, 3])
-    assert gb.matrix().flags.f_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +145,7 @@ def test_exact_mode_recovers_classical_bidiagonal_structure():
     npt.assert_allclose(np.triu(M, 2), 0.0, atol=1e-10 * scale)
     npt.assert_allclose(np.tril(M, -1), 0.0, atol=1e-10 * scale)
     npt.assert_allclose(T[:j, :j], M.T, atol=1e-10 * scale)
-    U, V = st.U.matrix(), st.V.matrix()[:, :j]
+    U, V = st.U, st.V[:, :j]
     npt.assert_allclose(U.conj().T @ U, np.eye(j), atol=100 * j * np.finfo(float).eps)
     npt.assert_allclose(V.conj().T @ V, np.eye(j), atol=100 * j * np.finfo(float).eps)
     # classical GKL on f(A) = A: sigma estimate matches the true leading value
@@ -432,11 +421,11 @@ def test_extract_negative_eigenvalue_of_mt():
     npt.assert_allclose(lead.computed_residual, 0.5 / np.sqrt(5.0), rtol=1e-15)
 
 
-def test_coupling_buffer_grows_and_keeps_the_column_layout(monkeypatch):
+def test_coupling_buffer_keeps_the_column_layout(monkeypatch):
     cols = []
     original = matfunsvd.outer.rgs
 
-    def recording_rgs(z, basis=None):
+    def recording_rgs(z, basis):
         try:
             q, coeffs = original(z, basis)
         except BasisBreakdown as bd:
@@ -449,7 +438,7 @@ def test_coupling_buffer_grows_and_keeps_the_column_layout(monkeypatch):
     A, rep = exact_state("A2:n=100", "exp", eps_out=1e-12, m_max=40)
     st = rep.state
     j = st.j
-    assert j > 32  # the buffer started at 16 columns and grew twice
+    assert st.U.flags.f_contiguous and st.V.flags.f_contiguous
     # the coupling matrices as the column lists give them, one column a step
     M = np.zeros((j, j))
     T = np.zeros((j + 1, j))
@@ -461,6 +450,24 @@ def test_coupling_buffer_grows_and_keeps_the_column_layout(monkeypatch):
     npt.assert_array_equal(np.tril(st.M, -1), 0.0)
     npt.assert_array_equal(np.tril(st.T, -2), 0.0)
     assert st.t_next == abs(st.T[j, j - 1])
+
+
+@pytest.mark.parametrize("token,fid,eps_out", [("A2:n=12", "exp", 1e-13),
+                                               ("A1:n=8:seed=1", "identity", 1e-14)])
+def test_m_max_above_n_stops_within_n_steps(token, fid, eps_out):
+    # the state is allocated for min(m_max, n) steps
+    A = op(token)
+    rep = run(A, get_function(fid), eps_out, m_max=500, keep_state=True)
+    st, n = rep.state, A.n
+    assert rep.converged and rep.outer_iters <= n
+    assert st.U.shape == (n, rep.outer_iters)
+    for B in (st.U, st.V):
+        assert np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1])) <= 1e-12
+    F = oracles.dense(A)
+    if fid != "identity":
+        F = oracles.dense_fA(F, fid)
+    sv, _, _ = oracles.dense_triplets(F, 1)
+    npt.assert_allclose(rep.sigma, sv[0], rtol=1e-12)
 
 
 @pytest.mark.xfail(strict=True, reason=(
