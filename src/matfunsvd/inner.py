@@ -32,8 +32,16 @@ of dimension d cost O(d^4).  The hint ``first_test`` is the step of the
 first omega test; the outer bidiagonalization sets it from the inner
 dimensions of its previous step.  f(H_k) is evaluated only from
 k = first_test - 2 (the lagged partner of that test) on, on a breakdown and
-at the last step.  Every evaluated H_k passes the domain guard of
-``densela.dense_matfun``; a skipped H_k produces nothing to guard.
+at the last step.  The extended basis grows in pairs, one solve and one
+product, so extended Krylov evaluates f(H_k) and tests only at even k,
+where a pair is complete, as the extended-Krylov analyses track the
+iterate once per pair (Druskin & Knizhnerman, SIMAX 1998; Knizhnerman &
+Simoncini, NLAA 2010).  The lag of 2 is then exactly one pair, an odd
+hint moves the first test up to the next even k, and a converged extended
+solve that does not break down uses an even dimension.  An odd last step
+is evaluated together with its skipped partner k - 2.  Every evaluated H_k
+passes the domain guard of ``densela.dense_matfun``; a skipped H_k
+produces nothing to guard.
 """
 
 from dataclasses import dataclass, field
@@ -164,17 +172,22 @@ def approx_fAv(A, f: ScalarFunction, v, eps_inner, policy=InnerPolicy(),
     previous step minus 2.  The coefficients c_k = f(H_k) e1 ||v|| of the
     iterate z_k = P_k c_k are computed from k = first_test - 2 on, on a
     basis breakdown and at the last step; below that only the basis grows.
-    A basis breakdown returns its iterate as exact (err_estimate 0).  From
-    k = first_test on, omega_k = ||z_k - z_{k-2}|| / ||z_{k-2}|| is
-    evaluated as ||c_k - [c_{k-2}; 0; 0]|| / ||c_{k-2}||, which is equal
-    because P has orthonormal columns and P_{k-2} is the leading block of
-    P_k.  The loop returns z_{k-2} once omega/(1-omega) <= eps_inner, and
-    the last iterate unconverged after min(max_dim, n) steps.  A hint above
-    the step where the test would first pass returns a later, more accurate
-    z_{k-2}; dims_used still counts every column built.  Every f(H_k) that
-    is computed raises DomainError when H_k hits the excluded set of f; a
-    skipped H_k is never evaluated, so it is never checked.  On each exit
-    the returned n-vector is formed once, as P_d c.
+    Extended Krylov computes c_k and tests only at even k, once per
+    completed pair of columns (Druskin & Knizhnerman, SIMAX 1998;
+    Knizhnerman & Simoncini, NLAA 2010): an odd first_test moves its first
+    test to first_test + 1, and an odd last step also computes its lagged
+    partner c_{k-2}.  A basis breakdown returns its iterate as exact
+    (err_estimate 0).  At each tested k, omega_k = ||z_k - z_{k-2}|| /
+    ||z_{k-2}|| is evaluated as ||c_k - [c_{k-2}; 0; 0]|| / ||c_{k-2}||,
+    which is equal because P has orthonormal columns and P_{k-2} is the
+    leading block of P_k.  The loop returns z_{k-2} once omega/(1-omega) <=
+    eps_inner, and the last iterate unconverged after min(max_dim, n)
+    steps.  A hint above the step where the test would first pass returns
+    a later, more accurate z_{k-2}; dims_used still counts every column
+    built.  Every f(H_k) that is computed raises DomainError when H_k hits
+    the excluded set of f; a skipped H_k is never evaluated, so it is never
+    checked, but the last H_k always is.  On each exit the returned
+    n-vector is formed once, as P_d c.
     """
     v = np.asarray(v)
     nrm0 = float(np.linalg.norm(v))
@@ -197,9 +210,13 @@ def approx_fAv(A, f: ScalarFunction, v, eps_inner, policy=InnerPolicy(),
             dims_used=d, omega_history=omegas, converged=converged,
             breakdown=breakdown)
 
+    # the extended basis grows in pairs (a solve and a product): its f(H_k)
+    # and tests run at even k only, where a pair is complete
+    pairs = policy.method == "extended-krylov"
     for k in range(1, max_dim + 1):
         d, invariant = expand(k)
-        if k < first_test - _LAG and not invariant:
+        skip = k < first_test - _LAG or (pairs and k % 2 and k < max_dim)
+        if skip and not invariant:
             continue
         c = _f_column(H[:d, :d], f, nrm0)
         if invariant:
@@ -207,6 +224,10 @@ def approx_fAv(A, f: ScalarFunction, v, eps_inner, policy=InnerPolicy(),
         ring[k % (_LAG + 1)] = c
         if k < first_test:
             continue
+        if pairs and k % 2:
+            # an odd last step: its lagged partner was skipped, evaluate it
+            ring[(k - _LAG) % (_LAG + 1)] = _f_column(
+                H[: k - _LAG, : k - _LAG], f, nrm0)
         c_old = ring[(k - _LAG) % (_LAG + 1)]
         m = c_old.shape[0]
         denom = float(np.linalg.norm(c_old))

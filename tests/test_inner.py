@@ -214,7 +214,8 @@ def test_bases_are_column_major(monkeypatch, method, fid):
 def test_first_test_at_or_below_return_is_bitwise_equal(monkeypatch, method, fid):
     # below first_test - 2 only f(H_k) is skipped, and no skipped f(H_k)
     # takes part in a test, so every hint up to the full scan's return
-    # gives the full scan's result
+    # gives the full scan's result; extended Krylov tests and evaluates
+    # f(H_k) at even k only, so its full scan tests at k = 4, 6, ...
     A = op("A3:n=400")
     v = unit(np.random.default_rng(5), 400)
     f = get_function(fid)
@@ -235,8 +236,59 @@ def test_first_test_at_or_below_return_is_bitwise_equal(monkeypatch, method, fid
         assert np.array_equal(res.vector, full.vector)
         assert res.err_estimate == full.err_estimate
         assert res.dims_used == full.dims_used
-        assert res.omega_history == full.omega_history[first_test - 3:]
-        assert len(calls) == full.dims_used - first_test + 3
+        if method == "standard-krylov":
+            assert res.omega_history == full.omega_history[first_test - 3:]
+            assert len(calls) == full.dims_used - first_test + 3
+        else:
+            tested = range(4, full.dims_used + 1, 2)
+            assert len(full.omega_history) == len(tested)
+            assert res.omega_history == [
+                w for k, w in zip(tested, full.omega_history) if k >= first_test]
+            assert len(calls) == len(
+                range(first_test - 2 + first_test % 2, full.dims_used + 1, 2))
+
+
+@pytest.mark.parametrize("fid", ["invsqrt", "sqrt", "phi"])
+@pytest.mark.parametrize("token", ["A3:n=400", "A5:n=400"])
+def test_extended_krylov_tests_once_per_pair(monkeypatch, token, fid):
+    # the extended basis grows in pairs (a solve and a product): f(H_k) runs
+    # at even k only, and at an odd last step at k and its partner k - 2
+    A = op(token)
+    f = get_function(fid)
+    v = unit(np.random.default_rng(8), 400)
+    calls = []
+    original = matfunsvd.densela.dense_matfun
+
+    def counting_matfun(H, g):
+        calls.append(H.shape[0])
+        return original(H, g)
+
+    monkeypatch.setattr(matfunsvd.densela, "dense_matfun", counting_matfun)
+    for eps, adjoint in [(1e-6, False), (1e-10, False), (1e-10, True)]:
+        calls.clear()
+        res = approx_fAv(A, f, v, eps, InnerPolicy(method="extended-krylov"),
+                         adjoint=adjoint)
+        assert res.converged and not res.breakdown
+        assert res.dims_used % 2 == 0
+        assert calls == list(range(2, res.dims_used + 1, 2))
+    natural = res.dims_used
+    for max_dim in (7, 9):
+        calls.clear()
+        res = approx_fAv(A, f, v, 1e-15,
+                         InnerPolicy(method="extended-krylov", max_dim=max_dim))
+        assert not res.converged and res.dims_used == max_dim
+        assert calls == list(range(2, max_dim, 2)) + [max_dim, max_dim - 2]
+    # an odd hint moves the first test up to the next completed pair
+    policy = InnerPolicy(method="extended-krylov")
+    for m in range(1, natural // 2 + 3):
+        odd = approx_fAv(A, f, v, 1e-10, policy, adjoint=True,
+                         first_test=2 * m + 1)
+        even = approx_fAv(A, f, v, 1e-10, policy, adjoint=True,
+                          first_test=2 * m + 2)
+        assert np.array_equal(odd.vector, even.vector)
+        assert odd.err_estimate == even.err_estimate
+        assert odd.dims_used == even.dims_used
+        assert odd.omega_history == even.omega_history
 
 
 @pytest.mark.parametrize("method,fid", [("standard-krylov", "exp"),
@@ -282,15 +334,17 @@ def test_first_test_beyond_max_dim_is_clamped():
     assert res.omega_history == full.omega_history[-1:]
 
 
-@pytest.mark.parametrize("n,first_test", [(3, 10), (10, 50)])
-def test_first_test_keeps_the_domain_guard(n, first_test):
+@pytest.mark.parametrize("method", ["standard-krylov", "extended-krylov"])
+@pytest.mark.parametrize("n,first_test", [(3, 10), (4, 10), (10, 50)])
+def test_first_test_keeps_the_domain_guard(method, n, first_test):
     # the hint is clamped to the last step n, where H_n carries the
-    # eigenvalue -1 of A; the evaluated H_k are guarded
+    # eigenvalue -1 of A; the evaluated H_k are guarded, and extended
+    # Krylov evaluates an odd last step although it skips odd k before it
     A = oracles.make_operator_from_dense(np.diag([-1.0] + list(range(2, n + 1))))
     v = np.ones(n) / np.sqrt(n)
     with pytest.raises(DomainError, match="excluded set"):
         approx_fAv(A, get_function("invsqrt"), v, 1e-8,
-                   first_test=first_test)
+                   InnerPolicy(method=method), first_test=first_test)
 
 
 def test_projected_spectrum_on_cut_raises_with_context():
