@@ -26,7 +26,7 @@ __all__ = ["power_method", "ExpBoundResult", "exp_norm_bound"]
 
 def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
                  inner_policy: InnerPolicy | None = None, seed=0,
-                 matrix_label="", function_label="") -> RunReport:
+                 matrix_label="") -> RunReport:
     """Largest singular value of f(A) by power iteration on f(A)^H f(A).
 
     Each sweep maps y = f(A)^H (f(A) v) through the inner approximations
@@ -97,7 +97,7 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
         inner_total=inner_total,
         inner_avg=inner_total / (2 * it),
         wall_time_s=wall, converged=converged, seed=seed, ledger=ledger,
-        matrix_label=matrix_label, function_label=function_label or f.id,
+        matrix_label=matrix_label, function_label=f.id,
         method_label="power")
 
 
@@ -133,9 +133,7 @@ def exp_norm_bound(A, sign=1, tol=1e-6, max_iters=400, seed=0):
     def herm_apply(x):
         return 0.5 * sign * (A.apply(x) + A.apply_adjoint(x))
 
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q = (q / np.linalg.norm(q)).astype(np.promote_types(A.dtype, np.float64))
+    q = _start_vector(n, A.dtype, seed)
     steps = min(max_iters, n)
     Q = np.zeros((n, steps), dtype=q.dtype, order="F")
     Q[:, 0] = q

@@ -106,9 +106,9 @@ def dense_matfun(H, f: ScalarFunction):
     bad = dist <= 1e-12 * float(np.linalg.norm(H))
     if np.any(bad):
         raise DomainError(
-            f"{f.id}: eigenvalue {lam[bad][0]} lies on (or within 1e-12*||H||_F of) "
-            "the excluded ray (-inf, 0]"
-        )
+            f"projected matrix of dimension {H.shape[0]} hit the excluded set "
+            f"of {f.id}: eigenvalue {lam[bad][0]} lies on (or within "
+            "1e-12*||H||_F of) the ray (-inf, 0]")
     return f.first_column(H)
 
 

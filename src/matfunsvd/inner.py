@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import densela
-from .functions import DomainError, ScalarFunction
+from .functions import ScalarFunction
 from .orth import BasisBreakdown, rgs
 
 __all__ = ["InnerPolicy", "InnerResult", "approx_fAv"]
@@ -91,18 +91,6 @@ class InnerResult:
     omega_history: list = field(default_factory=list)
     converged: bool = False
     breakdown: bool = False
-
-
-def _f_column(H, f, scale):
-    """First column of f(H) times a scale, with step context on domain errors."""
-    try:
-        c = densela.dense_matfun(H, f)
-    except DomainError as exc:
-        raise DomainError(
-            f"inner solve: projected matrix of dimension {H.shape[0]} "
-            f"hit the excluded set of {f.id}: {exc}"
-        ) from exc
-    return c * scale
 
 
 def _arnoldi(A, v1, max_dim, adjoint):
@@ -218,7 +206,7 @@ def approx_fAv(A, f: ScalarFunction, v, eps_inner, policy=InnerPolicy(),
         skip = k < first_test - _LAG or (pairs and k % 2 and k < max_dim)
         if skip and not invariant:
             continue
-        c = _f_column(H[:d, :d], f, nrm0)
+        c = densela.dense_matfun(H[:d, :d], f) * nrm0
         if invariant:
             return finish(c, 0.0, d, True, True)
         ring[k % (_LAG + 1)] = c
@@ -226,8 +214,8 @@ def approx_fAv(A, f: ScalarFunction, v, eps_inner, policy=InnerPolicy(),
             continue
         if pairs and k % 2:
             # an odd last step: its lagged partner was skipped, evaluate it
-            ring[(k - _LAG) % (_LAG + 1)] = _f_column(
-                H[: k - _LAG, : k - _LAG], f, nrm0)
+            ring[(k - _LAG) % (_LAG + 1)] = densela.dense_matfun(
+                H[: k - _LAG, : k - _LAG], f) * nrm0
         c_old = ring[(k - _LAG) % (_LAG + 1)]
         m = c_old.shape[0]
         denom = float(np.linalg.norm(c_old))

@@ -240,7 +240,15 @@ def parse_matrix_token(token: str, default_n: int = 10000,
 # Matrix Market reader
 
 _HEADER_RE = re.compile(
-    r"^%%MatrixMarket\s+matrix\s+(\w+)\s+(\w+)\s+(\w+)\s*$", re.IGNORECASE)
+    r"^%%MatrixMarket\s+matrix\s+(\w+)\s+(\w+)\s+([\w-]+)\s*$", re.IGNORECASE)
+
+
+def _records(fh):
+    """Tokens of each remaining line that is neither blank nor a comment."""
+    for line in fh:
+        toks = line.split()
+        if toks and not toks[0].startswith("%"):
+            yield toks
 
 
 def read_matrix_market(path):
@@ -259,85 +267,57 @@ def read_matrix_market(path):
         fmt, fieldname, symmetry = (s.lower() for s in m.groups())
         if fmt not in ("coordinate", "array"):
             raise MatrixMarketError(f"unsupported format {fmt!r}")
-        if fieldname == "pattern":
-            raise MatrixMarketError("pattern matrices carry no values; unsupported")
         if fieldname not in ("real", "integer", "complex"):
             raise MatrixMarketError(f"unsupported field {fieldname!r}")
         if symmetry != "general":
             raise MatrixMarketError(
                 f"only general symmetry is supported, got {symmetry!r}")
 
-        size_line = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            size_line = line
-            break
-        if size_line is None:
+        records = _records(fh)
+        size = next(records, None)
+        if size is None:
             raise MatrixMarketError("missing size line")
-
+        coordinate = fmt == "coordinate"
+        if len(size) != 2 + coordinate:
+            raise MatrixMarketError(f"bad {fmt} size line: {' '.join(size)!r}")
+        nrows, ncols = int(size[0]), int(size[1])
+        count = int(size[2]) if coordinate else nrows * ncols
+        if min(nrows, ncols, count) < 0:
+            raise MatrixMarketError(f"negative size in {' '.join(size)!r}")
+        # record: 1-based (i, j) of a coordinate entry, then 1 or 2 value tokens
         complex_field = fieldname == "complex"
-        values_per_entry = 2 if complex_field else 1
-
-        if fmt == "coordinate":
-            dims = size_line.split()
-            if len(dims) != 3:
-                raise MatrixMarketError(f"bad coordinate size line: {size_line!r}")
-            nrows, ncols, nnz = (int(x) for x in dims)
-            rows = np.empty(nnz, dtype=np.int64)
-            cols = np.empty(nnz, dtype=np.int64)
-            vals = np.empty(nnz, dtype=complex if complex_field else float)
-            seen = set()
-            count = 0
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("%"):
-                    continue
-                toks = line.split()
-                if len(toks) != 2 + values_per_entry:
-                    raise MatrixMarketError(f"bad coordinate entry: {line!r}")
-                i, j = int(toks[0]), int(toks[1])
-                if not (1 <= i <= nrows and 1 <= j <= ncols):
-                    raise MatrixMarketError(
-                        f"entry index ({i}, {j}) out of bounds for "
-                        f"{nrows}x{ncols} matrix")
-                if (i, j) in seen:
-                    raise MatrixMarketError(f"duplicate entry at ({i}, {j})")
-                seen.add((i, j))
-                if count >= nnz:
-                    raise MatrixMarketError("more entries than declared")
-                if complex_field:
-                    vals[count] = float(toks[2]) + 1j * float(toks[3])
-                else:
-                    vals[count] = float(toks[2])
-                rows[count] = i - 1
-                cols[count] = j - 1
-                count += 1
-            if count != nnz:
-                raise MatrixMarketError(
-                    f"declared {nnz} entries but found {count}")
-            return sparse.coo_matrix(
-                (vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
-
-        dims = size_line.split()
-        if len(dims) != 2:
-            raise MatrixMarketError(f"bad array size line: {size_line!r}")
-        nrows, ncols = (int(x) for x in dims)
-        flat = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            toks = line.split()
-            if len(toks) != values_per_entry:
-                raise MatrixMarketError(f"bad array entry: {line!r}")
+        width = (3 if coordinate else 1) + complex_field
+        ij = np.empty((2, count if coordinate else 0), dtype=np.int64)
+        vals = np.empty(count, dtype=complex if complex_field else float)
+        k = 0
+        for toks in records:
+            if len(toks) != width:
+                raise MatrixMarketError(f"bad {fmt} entry: {' '.join(toks)!r}")
+            if k == count:
+                raise MatrixMarketError(f"more {fmt} entries than declared")
+            if coordinate:
+                ij[:, k] = int(toks[0]), int(toks[1])
             if complex_field:
-                flat.append(float(toks[0]) + 1j * float(toks[1]))
+                vals[k] = float(toks[-2]) + 1j * float(toks[-1])
             else:
-                flat.append(float(toks[0]))
-        if len(flat) != nrows * ncols:
-            raise MatrixMarketError(
-                f"array format declared {nrows * ncols} values, found {len(flat)}")
-        arr = np.array(flat).reshape((ncols, nrows)).T  # column-major order
-        return arr
+                vals[k] = float(toks[-1])
+            k += 1
+    if k != count:
+        raise MatrixMarketError(f"{fmt} format declared {count} entries "
+                                f"but found {k}")
+    if not coordinate:
+        return vals.reshape((ncols, nrows)).T  # column-major order
+
+    rows, cols = ij - 1
+    outside = np.flatnonzero((ij < 1).any(axis=0) | (rows >= nrows)
+                             | (cols >= ncols))
+    if outside.size:
+        i, j = ij[:, outside[0]]
+        raise MatrixMarketError(f"entry index ({i}, {j}) out of bounds for "
+                                f"{nrows}x{ncols} matrix")
+    key = np.sort(rows * ncols + cols)
+    repeated = key[1:][key[1:] == key[:-1]]
+    if repeated.size:
+        i, j = divmod(int(repeated[0]), ncols)
+        raise MatrixMarketError(f"duplicate entry at ({i + 1}, {j + 1})")
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()

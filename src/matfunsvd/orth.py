@@ -23,24 +23,17 @@ class BasisBreakdown(Exception):
 def rgs(z, basis):
     """Two-pass classical Gram-Schmidt against orthonormal columns.
 
-    ``basis`` is an n x k array with orthonormal columns; k may be zero.
+    ``basis`` is an n x k array with orthonormal columns, of any width k >= 0.
     Returns ``(q, coeffs)`` where ``coeffs`` holds the accumulated projection
     coefficients with the normalization appended as the last entry, so that
     ``z == column_stack([basis, q]) @ coeffs`` up to rounding.  Raises
-    :class:`BasisBreakdown` when the remainder norm falls below
-    ``n * eps * ||z||``.
+    :class:`BasisBreakdown` when the remainder norm is at or below
+    ``n * eps * ||z||``, so a zero z breaks down at every width.
     """
     z = np.asarray(z)
     if z.ndim != 1:
         raise ValueError("rgs expects a 1-d vector")
     n = z.shape[0]
-    znorm = float(np.linalg.norm(z))
-
-    if basis.shape[1] == 0:
-        if znorm == 0.0:
-            raise BasisBreakdown(np.array([znorm]))
-        return z / znorm, np.array([znorm])
-
     if basis.shape[0] != n:
         raise ValueError("basis row count does not match vector length")
 
@@ -54,7 +47,7 @@ def rgs(z, basis):
     coeffs = c1 + c2
 
     rnorm = float(np.linalg.norm(r))
-    if rnorm < n * _EPS * znorm:
+    if rnorm <= n * _EPS * float(np.linalg.norm(z)):
         raise BasisBreakdown(np.append(coeffs, rnorm))
     return r / rnorm, np.append(coeffs, rnorm)
 

@@ -146,16 +146,14 @@ class BidiagState:
         return float(abs(self._coupling[1, j, j - 1])) if j else 0.0
 
 
-@dataclass
-class StepInfo:
-    status: str           # "ok" | "breakdown-U" | "exhausted-V"
-    inner_dims: int = 0
-    inner_converged: bool = True
-
-
 def bidiag_step(state: BidiagState, A, f: ScalarFunction, eps_inner,
-                policy: InnerPolicy) -> StepInfo:
-    """Advance the bidiagonalization by one step (two inner solves)."""
+                policy: InnerPolicy):
+    """Advance the bidiagonalization by one step (two inner solves).
+
+    Returns the inner results ``(r1, r2)`` of f(A) v_j and f(A)^H u_j; r2
+    is None, and the state unchanged, when f(A) v_j lies in span(U).  When
+    f(A)^H u_j lies in span(V), ``state.exhausted`` is set.
+    """
     if state.exhausted:
         raise RuntimeError("right basis is exhausted; cannot step further")
     j = state.j
@@ -164,31 +162,25 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction, eps_inner,
     try:
         u_j, m_coeffs = rgs(r1.vector, state.U)
     except BasisBreakdown:
-        # f(A) v_j lies in span(U): the left space is invariant and no new
-        # direction exists; the caller finalizes at the previous step
-        return StepInfo(status="breakdown-U", inner_dims=r1.dims_used,
-                        inner_converged=r1.converged)
+        # the left space is invariant and no new direction exists
+        return r1, None
     state._U[:, j] = u_j
 
     r2 = approx_fAv(A, f, u_j, eps_inner, policy, adjoint=True,
                     first_test=state.first_test)
     try:
         v_next, t_coeffs = rgs(r2.vector, state.V)
+        state._V[:, j + 1] = v_next
     except BasisBreakdown as bd:
         # f(A)^H u_j already lies in span(V): record the projections with the
         # (numerically zero) next coefficient; the computed residual vanishes
-        t_coeffs, v_next = bd.coeffs, None
+        t_coeffs = bd.coeffs
         state.exhausted = True
 
     state.first_test = min(r1.dims_used, r2.dims_used) - _LAG
     state.append_columns(m_coeffs, t_coeffs)
-    if v_next is not None:
-        state._V[:, j + 1] = v_next
     state.ledger.append_step(r1.err_estimate, r2.err_estimate, eps_inner)
-    return StepInfo(
-        status="exhausted-V" if v_next is None else "ok",
-        inner_dims=r1.dims_used + r2.dims_used,
-        inner_converged=r1.converged and r2.converged)
+    return r1, r2
 
 
 def _projected_eig(M, T, count):
@@ -232,8 +224,6 @@ def _extract(state: BidiagState, num_triplets=1):
     once, on exit.
     """
     j = state.j
-    if j == 0:
-        raise ValueError("cannot extract from an empty state")
     theta, X, Y = _projected_eig(state.M, state.T[:j], min(num_triplets, j))
     t_next = state.t_next
     g1 = np.asarray(state.ledger.g1)
@@ -413,15 +403,16 @@ def _start_vector(n, dtype, seed):
 
 def run(A, f: ScalarFunction, eps_out, m_max=500,
         inner_policy: InnerPolicy | None = None, num_triplets=1, seed=0,
-        keep_state=False, matrix_label="", function_label="") -> RunReport:
+        keep_state=False, matrix_label="") -> RunReport:
     """Approximate the leading singular triplets of f(A).
 
-    Stops when the relative computed residual of the largest estimate drops
-    below eps_out (secondary triplets are monitored but do not gate).
-    Breakdown of either basis certifies an invariant subspace, so a run that
-    terminates this way with at least one extracted triplet counts as
-    converged.  Domain errors from the scalar function abort the run; the
-    report carries the message instead of raising.
+    ``converged`` means that the leading estimate passed computed_residual
+    < eps_out * theta; secondary triplets are monitored but do not gate.
+    Otherwise ``aborted`` names the stop: "domain error in inner solve: ..."
+    (the report carries the message instead of raising), "left basis
+    breakdown" (f(A) v_j lies in span(U); the step j - 1 estimates kept had
+    just failed the test) or "right basis exhausted before convergence".
+    It stays None when min(m_max, n) steps ran out.
     """
     if not (0.0 < eps_out < 1.0):
         raise ValueError("eps_out must lie in (0, 1)")
@@ -449,18 +440,15 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
             eps_k = relax.next_tolerance(k, prev[0], prev[1], prev[2],
                                          eps_out, m_max)
         try:
-            info = bidiag_step(state, A, f, eps_k, policy)
+            r1, r2 = bidiag_step(state, A, f, eps_k, policy)
         except DomainError as exc:
             aborted = f"domain error in inner solve: {exc}"
             break
-        inner_total += info.inner_dims
-        if info.status == "breakdown-U":
-            # no new left direction exists: the captured subspace is
-            # invariant and the current estimates are exact up to the ledger
-            converged = bool(triplets)
-            if not converged:
-                aborted = "left basis breakdown before any completed step"
+        inner_total += r1.dims_used
+        if r2 is None:
+            aborted = "left basis breakdown"
             break
+        inner_total += r2.dims_used
         triplets, delta = _extract(state, num_triplets)
         lead = triplets[0]
         theta = lead.theta
@@ -483,5 +471,5 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
         inner_total=inner_total,
         inner_avg=inner_total / (2 * outer) if outer else 0.0,
         wall_time_s=wall, converged=converged, seed=seed, ledger=state.ledger,
-        matrix_label=matrix_label, function_label=function_label or f.id,
+        matrix_label=matrix_label, function_label=f.id,
         aborted=aborted, state=state if keep_state else None)

@@ -251,6 +251,16 @@ def test_main_accepts_matrix_market_file(tmp_path, capsys):
     npt.assert_allclose(rows[0]["sigma"], sv[0], rtol=1e-5)
 
 
+def test_main_left_breakdown_warns_and_exits_1(tmp_path, capsys):
+    path = oracles.write_mtx(tmp_path / "d.mtx", np.diag([1.0, 0.0, 0.0, 0.0]))
+    token = f"file:path={path}"
+    code = cli.main(["run", "--matrix", token, "--function", "identity",
+                     "--eps-out", "1e-8"])
+    captured = capsys.readouterr()
+    assert code == 1 and parse_csv(captured.out)[0]["converged"] is False
+    assert f"warning: {token}/identity: left basis breakdown" in captured.err
+
+
 def test_main_power_subcommand(capsys):
     code = cli.main(["power", "--matrix", "A5:n=100", "--function", "exp",
                      "--eps-out", "1e-3"])

@@ -195,12 +195,46 @@ def test_mm_array_format(tmp_path):
     ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", "declared"),
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", "bounds"),
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n", "entry"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0 2.0\n",
+     "entry"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n",
+     "declared"),
+    ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n",
+     "declared"),
+    ("%%MatrixMarket matrix array real general\n1 2\n1.0\n2.0\n3.0\n",
+     "declared"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n",
+     "bounds"),
+    ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+     "skew"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 -1\n", "negative"),
 ])
 def test_mm_rejects_malformed(tmp_path, body, msg):
     p = tmp_path / "bad.mtx"
     p.write_text(body)
     with pytest.raises(MatrixMarketError, match=msg):
         read_matrix_market(str(p))
+
+
+@pytest.mark.parametrize("body,want", [
+    # blank lines and comments between entries
+    ("%%MatrixMarket matrix coordinate real general\n% c\n2 2 2\n\n"
+     "1 1 1.5\n% between\n   \n2 1 -2.0\n", [[1.5, 0.0], [-2.0, 0.0]]),
+    ("%%MATRIXMARKET MATRIX COORDINATE REAL GENERAL\n1 1 1\n1 1 3.0\n",
+     [[3.0]]),
+    ("%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 2 7\n2 2 -1\n",
+     [[0.0, 7.0], [0.0, -1.0]]),
+    ("%%MatrixMarket matrix array complex general\n2 1\n1.0 -1.0\n0.0 2.5\n",
+     [[1.0 - 1.0j], [2.5j]]),
+    ("%%MatrixMarket matrix coordinate real general\r\n2 2 1\r\n2 2 4.0\r\n",
+     [[0.0, 0.0], [0.0, 4.0]]),
+])
+def test_mm_accepts(tmp_path, body, want):
+    p = tmp_path / "ok.mtx"
+    p.write_bytes(body.encode())
+    got = read_matrix_market(str(p))
+    npt.assert_array_equal(got.toarray() if hasattr(got, "toarray") else got,
+                           np.array(want))
 
 
 def test_missing_file_raises_oserror(tmp_path):

@@ -54,6 +54,13 @@ def test_rgs_empty_basis_normalizes():
         rgs(np.zeros(2), np.empty((2, 0)))
 
 
+@pytest.mark.parametrize("width", [0, 1])
+def test_rgs_zero_vector_breaks_down_at_every_width(width):
+    with pytest.raises(BasisBreakdown) as exc:
+        rgs(np.zeros(3), np.eye(3)[:, :width])
+    npt.assert_array_equal(exc.value.coeffs, np.zeros(width + 1))
+
+
 def test_rgs_breakdown_carries_coefficients():
     B = np.eye(5)[:, :3]
     z = np.array([1.0, -2.0, 0.5, 0.0, 0.0])
@@ -293,6 +300,37 @@ def test_domain_error_aborts_with_message():
     rep = run(A, get_function("invsqrt"), 1e-6, m_max=5, inner_policy=EXACT, seed=0)
     assert not rep.converged
     assert rep.aborted is not None and "domain error" in rep.aborted
+    assert rep.aborted.count("inner solve") == 1
+
+
+# f(A) v_j in span(U): at step 1 (the zero matrix) or at step 2, after a
+# step-1 estimate that failed the residual test (||f(A)|| is 1 and 2)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("values", [
+    np.zeros((4, 4)),
+    np.diag([1.0, 0.0, 0.0, 0.0]),
+    np.outer([1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]),
+])
+def test_left_breakdown_ends_unconverged(values):
+    A = oracles.make_operator_from_dense(values)
+    rep = run(A, get_function("identity"), 1e-8, seed=0)
+    assert not rep.converged
+    assert rep.aborted == "left basis breakdown"
+    assert rep.outer_iters == (0 if not values.any() else 1)
+
+
+def test_right_exhaustion_converges_only_on_the_residual_test():
+    # exp(I) = e I: f(A)^H u_1 lies in span(v_1), so V is exhausted at step
+    # 1; whether the rounded residual passes 1e-300 * theta is left open
+    A = oracles.make_operator_from_dense(np.eye(4))
+    eps_out = 1e-300
+    rep = run(A, get_function("exp"), eps_out, seed=0, keep_state=True)
+    assert rep.state.exhausted and rep.outer_iters == 1
+    lead = rep.triplets[0]
+    assert rep.converged == (lead.computed_residual < eps_out * lead.theta)
+    assert (rep.aborted is None) == rep.converged
+    if not rep.converged:
+        assert rep.aborted == "right basis exhausted before convergence"
 
 
 def test_json_dict_has_contract_fields():
