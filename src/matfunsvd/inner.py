@@ -7,8 +7,10 @@ of the iterate z_k = P_k c_k and test it.  Both bases are stored
 column-major, so each column and each leading block P_k is one contiguous
 stretch of memory.
 
-- ``standard-krylov`` is Arnoldi with two-pass Gram-Schmidt: column k is
-  A times column k-1.
+- ``standard-krylov`` is Arnoldi: column k is A times column k-1.  Its
+  Gram-Schmidt is one product per column with the second pass delayed by
+  one step (DCGS2, ``orth.rgs``), so the column returned by step k gets
+  its second pass at step k + 1; H_k and P_k are final after step k.
 - ``extended-krylov`` spans {v, A^{-1}v, Av, A^{-2}v, A^2 v, A^{-3}v, ...}
   from one cached LU: an odd column is a solve against, and an even one a
   product with, the column two before it (column 0 for the first of each).
@@ -56,6 +58,9 @@ __all__ = ["InnerPolicy", "InnerResult", "approx_fAv"]
 
 _METHODS = ("standard-krylov", "extended-krylov")
 _LAG = 2
+# ratio of the one-pass remainder to its coefficients below which an
+# Arnoldi column gets its second Gram-Schmidt pass at once (see _arnoldi)
+_REPAIR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -94,21 +99,50 @@ class InnerResult:
 
 
 def _arnoldi(A, v1, max_dim, adjoint):
-    """Standard Krylov basis; expand(k) adds column k from A times column k-1."""
+    """Standard Krylov basis; expand(k) adds column k from A times column k-1.
+
+    Column k enters P after one Gram-Schmidt pass; expand(k + 1) gives it
+    its second pass in the product that projects its image, and carries the
+    Arnoldi relation over to it by linearity (DCGS2, see ``orth.rgs``).
+    """
     apply = A.apply_adjoint if adjoint else A.apply
     P = np.empty((A.n, max_dim + 1), dtype=v1.dtype, order="F")
     P[:, 0] = v1
     H = np.zeros((max_dim + 1, max_dim), dtype=v1.dtype)
 
     def expand(k):
-        try:
-            q, coeffs = rgs(apply(P[:, k - 1]), P[:, :k])
-        except BasisBreakdown as bd:
-            # A maps the k columns into their own span: H[:k, :k] is complete
-            H[:k, k - 1] = bd.coeffs[:k]
-            return k, True
-        H[: k + 1, k - 1] = coeffs
-        P[:, k] = q
+        j = k - 1
+        P[:, k] = apply(P[:, j])
+        # columns j and k of P as the rows of one C-order pair [y, A y]
+        c = rgs(P[:, j : k + 1].T, P[:, :k])
+        s, rho = c[0, :j], c[0, j].real
+        if j:
+            # A p_{j-1} was taken with y = P_j s + rho p_j as column j
+            h = H[j, j - 1]
+            H[:j, j - 1] += h * s
+            H[j, j - 1] = h * rho
+        # A p_j = (A y - A P_j s) / rho and A P_j = P_k H[:k, :j]; P[:, k]
+        # holds its remainder
+        H[:k, j] = (c[1] - H[:k, :j] @ s) / rho
+        r = P[:, k]
+        nu = float(np.linalg.norm(r))
+        if nu <= _REPAIR * float(np.linalg.norm(H[:k, j])):
+            # the pass cancelled over four digits.  A breakdown (nu near
+            # n eps ||A p_j||) must be found at this k, and the delayed pass
+            # would meet a leftover along P of eps ||A p_j|| / nu, under four
+            # orders below sqrt(eps), where rho by Pythagoras loses digits:
+            # redo the column now with two passes and their breakdown test
+            try:
+                q, coeffs = rgs(np.dot(P[:, :k], H[:k, j]) + r, P[:, :k])
+            except BasisBreakdown as bd:
+                # A maps the k columns into their own span: H[:k, :k] is complete
+                H[:k, j] = bd.coeffs[:k]
+                return k, True
+            H[:k, j], nu = coeffs[:k], coeffs[k]
+            r[:] = q
+        else:
+            r *= 1.0 / nu
+        H[k, j] = nu
         return k, False
 
     return P, H, expand
@@ -138,7 +172,7 @@ def _extended(A, v1, max_dim, adjoint):
             return c, True
         P[:, c] = q
         W[:, c] = apply(q)
-        H[:k, c] = P[:, :k].conj().T @ W[:, c]
+        H[:k, c] = np.dot(W[:, c].conj(), P[:, :k]).conj()
         H[c, :c] = q.conj() @ W[:, :c]
         return k, False
 

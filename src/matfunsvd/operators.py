@@ -56,13 +56,17 @@ class LinearOperator:
 
     def __init__(self, matrix):
         if sparse.issparse(matrix):
-            mat = matrix.tocsr()
+            # a matrix given by diagonals stays so, for its faster product;
+            # any other sparse format becomes CSR
+            dia = matrix.format == "dia"
+            mat = matrix.asformat("dia" if dia else "csr")
             if np.iscomplexobj(mat.data):
                 mat = mat.astype(np.complex128)
             else:
                 mat = mat.astype(np.float64)
+            adj = mat.T.conj()
             self._mat = mat
-            self._adj = mat.conj().T.tocsr()
+            self._adj = _ascending(adj) if dia else adj.tocsr()
         else:
             mat = np.asarray(matrix)
             mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64)
@@ -87,8 +91,21 @@ class LinearOperator:
         return self._factorization
 
 
+def _ascending(dia):
+    """The DIA matrix with its offsets in ascending order.
+
+    A DIA product adds the diagonals in their stored order, so with the
+    offsets ascending each entry sums its terms in column order, as a CSR
+    product does, and both give the same bits.  A transpose negates the
+    offsets and so reverses the order the generators build them in.
+    """
+    order = np.argsort(dia.offsets)
+    return sparse.dia_matrix((dia.data[order], dia.offsets[order]),
+                             shape=dia.shape)
+
+
 # ---------------------------------------------------------------------------
-# generators
+# generators: banded, built by diagonals
 
 
 def _require_n(spec, minimum=1):
@@ -109,7 +126,7 @@ def _build_a1(spec):
     rho1 = rng.random(n)
     rho2 = rng.random(n)
     diag = (1.0 + rho1) + 1j * (rho2 - 0.5)
-    mat = sparse.diags([diag, np.full(n - 1, 0.3)], [0, 1], format="csr",
+    mat = sparse.diags([diag, np.full(n - 1, 0.3)], [0, 1], format="dia",
                        dtype=np.complex128)
     return LinearOperator(mat)
 
@@ -118,7 +135,7 @@ def _build_a2(spec):
     n = _require_n(spec, 2)
     mat = sparse.diags(
         [np.full(n - 1, 1.5), np.full(n, 2.0), np.full(n - 1, -1.0)],
-        [-1, 0, 1], format="csr")
+        [-1, 0, 1], format="dia")
     return LinearOperator(mat)
 
 
@@ -129,7 +146,7 @@ def _build_a3(spec):
     mat = sparse.diags(
         [np.full(n - 7, 4.0), np.full(n - 2, -2.0), np.full(n, 10.0),
          np.full(n - 4, 6.0)],
-        [-7, -2, 0, 4], format="csr")
+        [-7, -2, 0, 4], format="dia")
     return LinearOperator(mat)
 
 
@@ -144,13 +161,16 @@ def _build_a5(spec):
     # -1 -+ 50 h (downwind/upwind), lexicographic ordering with x fastest
     h = 1.0 / (g + 1)
     c = 50.0 * h
-    # x-neighbours only within a grid row: zero the +-1 entries across rows;
-    # +-g is a second diags call because at g = 1 it repeats the +-1 offsets
+    # x-neighbours only within a grid row: zero the +-1 entries across rows.
+    # Offsets -g, -1, 0, 1, g; a 1 x 1 grid (g = 1) has no neighbours, and
+    # there +-g would repeat +-1
     inrow = np.arange(1, n) % g != 0
-    xdir = sparse.diags([(-1.0 + c) * inrow, 4.0, (-1.0 - c) * inrow],
-                        [-1, 0, 1], shape=(n, n))
-    ydir = sparse.diags([-1.0 + c, -1.0 - c], [-g, g], shape=(n, n))
-    return LinearOperator((xdir + ydir).tocsr())
+    diagonals = [-1.0 + c, (-1.0 + c) * inrow, 4.0, (-1.0 - c) * inrow, -1.0 - c]
+    offsets = [-g, -1, 0, 1, g]
+    if g == 1:
+        diagonals, offsets = [4.0], [0]
+    return LinearOperator(sparse.diags(diagonals, offsets, shape=(n, n),
+                                       format="dia"))
 
 
 _DEFAULT_SHIFT = {"A4": 10.0, "file": 0.0}

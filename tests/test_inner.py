@@ -4,9 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from matfunsvd import DomainError, build_operator, get_function
+from matfunsvd import DomainError, build_operator, get_function, run
 from matfunsvd.inner import InnerPolicy, approx_fAv
 from matfunsvd.operators import parse_matrix_token
+from matfunsvd.orth import BasisBreakdown, rgs
 
 import matfunsvd.inner
 import oracles
@@ -373,3 +374,101 @@ def test_input_validation():
     A = op("A2:n=10")
     with pytest.raises(ValueError):
         approx_fAv(A, get_function("exp"), np.zeros(10), 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the standard-Krylov basis: one-sync Gram-Schmidt with a delayed second pass
+
+
+def two_pass_arnoldi(A, v1, K, adjoint=False):
+    """Reference Arnoldi: every column gets both passes of the vector kernel
+    at once.  Returns (P, H, k), k the breakdown step or None."""
+    apply = A.apply_adjoint if adjoint else A.apply
+    P = np.zeros((A.n, K + 1), dtype=v1.dtype, order="F")
+    P[:, 0] = v1
+    H = np.zeros((K + 1, K), dtype=v1.dtype)
+    for k in range(1, K + 1):
+        try:
+            q, coeffs = rgs(apply(P[:, k - 1]), P[:, :k])
+        except BasisBreakdown as bd:
+            H[:k, k - 1] = bd.coeffs[:k]
+            return P, H, k
+        P[:, k] = q
+        H[: k + 1, k - 1] = coeffs
+    return P, H, None
+
+
+def one_sync_arnoldi(A, v1, K, adjoint=False):
+    """The solver's basis after K steps, or up to its breakdown step."""
+    P, H, expand = matfunsvd.inner._arnoldi(A, v1, K, adjoint)
+    for k in range(1, K + 1):
+        if expand(k) == (k, True):
+            return P, H, k
+    return P, H, None
+
+
+def arnoldi_errors(A, P, H, K, adjoint):
+    """||A P_K - P_{K+1} H|| / ||H|| and ||I - P_K^H P_K||."""
+    apply = A.apply_adjoint if adjoint else A.apply
+    H = H[: K + 1, :K]
+    relation = np.linalg.norm(apply(P[:, :K]) - P[:, : K + 1] @ H)
+    gram = P[:, :K].conj().T @ P[:, :K]
+    return relation / np.linalg.norm(H), np.linalg.norm(np.eye(K) - gram)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("token", ["A5:n=2500", "A2:n=2000", "A1:n=2000:seed=3"])
+def test_one_sync_arnoldi_at_two_pass_accuracy(token, adjoint):
+    # 40 columns: the Arnoldi relation, the orthogonality of the final
+    # columns and H itself match Arnoldi with both passes at once
+    A = op(token)
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(A.n)
+    if A.dtype.kind == "c":
+        v = v + 1j * rng.standard_normal(A.n)
+    v1 = v / np.linalg.norm(v)
+    K = 40
+    P, H, stop = one_sync_arnoldi(A, v1, K, adjoint)
+    P2, H2, stop2 = two_pass_arnoldi(A, v1, K, adjoint)
+    assert stop is None and stop2 is None
+    eps = np.finfo(float).eps
+    for err, ref in zip(arnoldi_errors(A, P, H, K, adjoint),
+                        arnoldi_errors(A, P2, H2, K, adjoint)):
+        assert err <= 4.0 * max(ref, eps)
+    assert np.linalg.norm(H - H2) <= 1e-14 * np.linalg.norm(H2)
+
+
+def test_one_sync_arnoldi_breaks_down_at_the_two_pass_step():
+    # three distinct eigenvalues: the Krylov space of any start vector is
+    # invariant at dimension 3
+    A = oracles.make_operator_from_dense(np.diag(np.tile([1.0, 2.0, 5.0], 100)))
+    v1 = unit(np.random.default_rng(8), 300)
+    P, H, stop = one_sync_arnoldi(A, v1, 20)
+    P2, H2, stop2 = two_pass_arnoldi(A, v1, 20)
+    assert stop == stop2 == 3
+    npt.assert_allclose(H[:3, :3], H2[:3, :3], rtol=0, atol=1e-14 * np.linalg.norm(H2))
+    res = approx_fAv(A, get_function("exp"), v1, 1e-8)
+    assert res.breakdown and res.converged and res.dims_used == 3
+
+
+@pytest.mark.parametrize("token", ["A5:n=100", "A1:n=100:seed=2"])
+def test_one_sync_arnoldi_keeps_the_start_vector(token):
+    A = op(token)
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal(A.n) + 1j * rng.standard_normal(A.n)
+    v1 = v / np.linalg.norm(v)
+    P, _, _ = one_sync_arnoldi(A, v1, 12)
+    assert np.array_equal(P[:, 0], v1)
+
+
+@pytest.mark.parametrize("seed,outer,inner,sigma", [
+    (1, 28, 1120, 2957.9677186189197),
+    (2, 25, 1000, 2957.9676499146276),
+])
+def test_one_sync_arnoldi_keeps_the_recorded_run(seed, outer, inner, sigma):
+    # counts and sigma of A5:n=2500 exp as two-pass Gram-Schmidt gave them
+    rep = run(op("A5:n=2500"), get_function("exp"), 1e-4, m_max=500, seed=seed,
+              inner_policy=InnerPolicy(eps_inner=1e-7))
+    assert rep.converged
+    assert (rep.outer_iters, rep.inner_total) == (outer, inner)
+    assert abs(rep.sigma - sigma) <= 1e-12 * sigma

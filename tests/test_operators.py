@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sparse
 
 from matfunsvd import (
     MatrixSpec,
@@ -11,7 +12,8 @@ from matfunsvd import (
     build_operator,
     parse_matrix_token,
 )
-from matfunsvd.operators import read_matrix_market
+from matfunsvd.densela import Factorization
+from matfunsvd.operators import LinearOperator, read_matrix_market
 
 import oracles
 
@@ -56,7 +58,7 @@ def test_a3_stencil_offsets():
     npt.assert_array_equal(A, want)
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 7])
+@pytest.mark.parametrize("g", [1, 2, 3, 7, 50])
 def test_a5_hand_assembly(g):
     # upwinded convection-diffusion stencil on a g x g interior grid,
     # h = 1/(g+1): diagonal 4, west/south -1+50h, east/north -1-50h; g = 1
@@ -106,6 +108,43 @@ def test_adjoint_probing(kind, n):
         lhs = np.vdot(y, o.apply(x))
         rhs = np.vdot(o.apply_adjoint(y), x)
         npt.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * abs(lhs))
+
+
+# the generators store their bands by diagonals (DIA); the products must
+# match the dense matrix, and the same matrix stored by rows (CSR) bit for bit
+BANDED = ["A1:n=300:seed=4", "A2:n=300", "A3:n=300", "A5:n=1", "A5:n=4",
+          "A5:n=2500"]
+
+
+@pytest.mark.parametrize("token", BANDED)
+def test_banded_products_match_dense_and_csr(token):
+    o = op(token)
+    A = oracles.dense(o)
+    by_rows = LinearOperator(sparse.csr_matrix(A))
+    rng = np.random.default_rng(o.n)
+    for x in (rng.standard_normal(o.n),
+              rng.standard_normal(o.n) + 1j * rng.standard_normal(o.n)):
+        for got, want, rows in ((o.apply(x), A @ x, by_rows.apply(x)),
+                                (o.apply_adjoint(x), A.conj().T @ x,
+                                 by_rows.apply_adjoint(x))):
+            npt.assert_allclose(got, want, rtol=0,
+                                atol=1e-14 * np.abs(A).max() * np.abs(x).max())
+            npt.assert_array_equal(got, rows)
+
+
+@pytest.mark.parametrize("token", ["A1:n=400:seed=1", "A3:n=400", "A5:n=2500"])
+def test_banded_factorization_solves_at_the_csr_level(token):
+    o = op(token)
+    A = oracles.dense(o)
+    by_rows = Factorization(sparse.csr_matrix(A))
+    b = np.random.default_rng(4).standard_normal(o.n)
+    for adjoint in (False, True):
+        M = A.conj().T if adjoint else A
+        x = o.factorization().solve(b, adjoint=adjoint)
+        ref = by_rows.solve(b, adjoint=adjoint)
+        resid = np.linalg.norm(M @ x - b)
+        assert resid <= 2.0 * np.linalg.norm(M @ ref - b) + 1e-15 * np.linalg.norm(b)
+        assert resid <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("values", [np.ones((3, 4)), np.ones(4)])
