@@ -7,18 +7,19 @@ with ratio (sigma_2/sigma_1)^2, which makes it the cost yardstick.
 
 exp_norm_bound certifies an upper bound for ||exp(A)||_2 without forming
 the exponential: the log-norm inequality bounds it by exp(lambda_max) of
-the Hermitian part, whose extreme eigenvalue comes from a Lanczos iteration
-with full reorthogonalization.
+the Hermitian part, whose extreme eigenvalue comes from Lanczos with full
+reorthogonalization: the inner Arnoldi builder on that Hermitian operator.
 """
 
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
 
-from .functions import ScalarFunction
-from .inner import _LAG, InnerPolicy, approx_fAv
+from .functions import DomainError, ScalarFunction
+from .inner import _LAG, InnerPolicy, _arnoldi, approx_fAv
 from .outer import InexactnessLedger, RunReport, TripletEstimate, _start_vector
 
 __all__ = ["power_method", "ExpBoundResult", "exp_norm_bound"]
@@ -40,7 +41,9 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     inexact products, which is reported as-is without correction.  As in
     ``run``, each inner solve runs its first lagged test at the smaller
     inner dimension of the previous sweep minus the lag, so ``f(H_k)`` is
-    evaluated only from where that test can use it.
+    evaluated only from where that test can use it.  Also as in ``run``, a
+    DomainError of an inner solve ends the iteration unconverged, with
+    ``aborted`` set to "domain error in inner solve: ...".
     """
     if not (0.0 < eps_out < 1.0):
         raise ValueError("eps_out must lie in (0, 1)")
@@ -59,18 +62,22 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     converged = False
     lam = 0.0
     resid = np.inf
+    aborted = None
     w = np.zeros(A.n, dtype=A.dtype)
     first_test = _LAG + 1  # inner hint, as run keeps it in BidiagState
     for it in range(1, max_iters + 1):
-        r1 = approx_fAv(A, f, v, eps_inner, policy, adjoint=False,
-                        first_test=first_test)
-        w = r1.vector
-        inner_total += r1.dims_used
-        wnorm = float(np.linalg.norm(w))
-        if wnorm == 0.0:
-            break  # v in the numerical null space of f(A)
-        r2 = approx_fAv(A, f, w, eps_inner, policy, adjoint=True,
-                        first_test=first_test)
+        try:
+            r1 = approx_fAv(A, f, v, eps_inner, policy, adjoint=False,
+                            first_test=first_test)
+            w = r1.vector
+            inner_total += r1.dims_used
+            if float(np.linalg.norm(w)) == 0.0:
+                break  # v in the numerical null space of f(A)
+            r2 = approx_fAv(A, f, w, eps_inner, policy, adjoint=True,
+                            first_test=first_test)
+        except DomainError as exc:
+            aborted = f"domain error in inner solve: {exc}"
+            break
         y = r2.vector
         inner_total += r2.dims_used
         first_test = min(r1.dims_used, r2.dims_used) - _LAG
@@ -98,7 +105,7 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
         inner_avg=inner_total / (2 * it),
         wall_time_s=wall, converged=converged, seed=seed, ledger=ledger,
         matrix_label=matrix_label, function_label=f.id,
-        method_label="power")
+        method_label="power", aborted=aborted)
 
 
 @dataclass
@@ -114,8 +121,10 @@ def exp_norm_bound(A, sign=1, tol=1e-6, max_iters=400, seed=0):
 
     ||exp(sign*A)||_2 <= exp(lambda_max((sign*A + sign*A^H)/2)); the extreme
     eigenvalue of the Hermitian part comes from Lanczos with full
-    reorthogonalization, stopped when the eigenpair residual beta*|s_k|
-    falls below tol * |lambda|.  The bound is tight when A is Hermitian.
+    reorthogonalization, run as the inner Arnoldi builder on that operator
+    (so H is tridiagonal), stopped when the eigenpair residual
+    H[k, k-1]*|s_k| falls below tol * |lambda| or the space is invariant.
+    The bound is tight when A is Hermitian.
 
     What is certified: ``bound`` is exp(theta) for the largest Lanczos Ritz
     value theta, and a Ritz value is never above lambda_max.  So ``bound``
@@ -128,45 +137,24 @@ def exp_norm_bound(A, sign=1, tol=1e-6, max_iters=400, seed=0):
         raise ValueError("sign must be +1 or -1")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    n = A.n
 
     def herm_apply(x):
         return 0.5 * sign * (A.apply(x) + A.apply_adjoint(x))
 
-    q = _start_vector(n, A.dtype, seed)
-    steps = min(max_iters, n)
-    Q = np.zeros((n, steps), dtype=q.dtype, order="F")
-    Q[:, 0] = q
-    alphas: list = []
-    betas: list = []
-    lam = np.nan
+    steps = min(max_iters, A.n)
+    _, H, expand = _arnoldi(SimpleNamespace(n=A.n, apply=herm_apply),
+                            _start_vector(A.n, A.dtype, seed), steps, False)
     converged = False
-    k = 0
     for k in range(1, steps + 1):
-        w = herm_apply(Q[:, k - 1])
-        a = float(np.vdot(Q[:, k - 1], w).real)
-        alphas.append(a)
-        # full reorthogonalization keeps the basis orthonormal
-        w = w - Q[:, :k] @ (Q[:, :k].conj().T @ w)
-        w = w - Q[:, :k] @ (Q[:, :k].conj().T @ w)
-        b = float(np.linalg.norm(w))
-        if betas:
-            # only the top eigenpair of the tridiagonal projection is needed
-            evals, evecs = scipy.linalg.eigh_tridiagonal(
-                np.asarray(alphas), np.asarray(betas),
-                select="i", select_range=(k - 1, k - 1))
-            lam = float(evals[0])
-            tail = abs(evecs[-1, 0])
-        else:
-            lam = a
-            tail = 1.0
-        resid = b * tail
-        if resid <= tol * max(abs(lam), np.finfo(float).tiny) or b == 0.0:
+        _, invariant = expand(k)
+        # only the top eigenpair of the tridiagonal projection is needed
+        evals, evecs = scipy.linalg.eigh_tridiagonal(
+            H.diagonal()[:k].real, H.diagonal(-1)[: k - 1].real,
+            select="i", select_range=(k - 1, k - 1))
+        lam = float(evals[0])
+        resid = H[k, k - 1].real * abs(evecs[-1, 0])
+        if invariant or resid <= tol * max(abs(lam), np.finfo(float).tiny):
             converged = True
             break
-        if k == steps:
-            break
-        betas.append(b)
-        Q[:, k] = w / b
     return ExpBoundResult(bound=float(np.exp(lam)), lambda_max=lam,
                           iterations=k, converged=converged)

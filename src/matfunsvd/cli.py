@@ -119,10 +119,16 @@ def _policy(args, relax=False, eps_inner=None):
                              eps_inner=eps_inner)
 
 
-def _lanczos(args, token, A, f, policy, num_triplets=1):
-    report = outer.run(A, f, args.eps_out, m_max=args.m_max,
-                       inner_policy=policy, num_triplets=num_triplets,
-                       seed=args.seed, matrix_label=token)
+def _solve(args, token, A, f, policy, num_triplets=1):
+    """One solve (``power``: power_method, else run); warns if it aborted."""
+    if args.command == "power":
+        report = baselines.power_method(
+            A, f, args.eps_out, max_iters=args.m_max, inner_policy=policy,
+            seed=args.seed, matrix_label=token)
+    else:
+        report = outer.run(A, f, args.eps_out, m_max=args.m_max,
+                           inner_policy=policy, num_triplets=num_triplets,
+                           seed=args.seed, matrix_label=token)
     if report.aborted:
         print(f"warning: {token}/{f.id}: {report.aborted}", file=sys.stderr)
     return report
@@ -130,15 +136,9 @@ def _lanczos(args, token, A, f, policy, num_triplets=1):
 
 def _report_rows(args, token, A, fid):
     """``run`` and ``power``: one RUN_COLUMNS row."""
-    f = get_function(fid)
-    if args.command == "power":
-        report = baselines.power_method(
-            A, f, args.eps_out, max_iters=args.m_max,
-            inner_policy=_policy(args, eps_inner=args.eps_inner),
-            seed=args.seed, matrix_label=token)
-    else:
-        report = _lanczos(args, token, A, f,
-                          _policy(args, args.relax, args.eps_inner))
+    relax = args.command == "run" and args.relax
+    report = _solve(args, token, A, get_function(fid),
+                    _policy(args, relax, args.eps_inner))
     return [_report_to_row(report)], [report.converged]
 
 
@@ -146,7 +146,7 @@ def _triplet_rows(args, token, A, fid):
     """``triplets``: fixed vs relaxed, one TRIPLET_COLUMNS row per index."""
     f = get_function(fid)
     fixed, relaxed = (
-        _lanczos(args, token, A, f, policy, num_triplets=args.triplets)
+        _solve(args, token, A, f, policy, num_triplets=args.triplets)
         for policy in (_policy(args, eps_inner=args.eps_inner),
                        _policy(args, relax=True)))
     rows = []

@@ -1,15 +1,12 @@
 """Dense linear algebra kernels for the projected small problems.
 
-Everything here operates on small dense matrices (projected Hessenberg /
-coupling matrices, shifted blocks), apart from ``Factorization``, the one
-SuperLU factorization of a large operator.
-Eigen/SVD/LU work is delegated to LAPACK and SuperLU;
-``dense_matfun`` evaluates the first column f(H) e1 of a matrix function
-by the rule its catalog entry holds, behind a guard on the eigenvalues for
-the functions with a branch cut.
+``eig_dense`` and ``dense_matfun`` operate on small dense matrices
+(projected Hessenberg and coupling matrices); ``Factorization`` is the one
+SuperLU factorization of a large operator.  ``eig_dense`` returns LAPACK's
+eigenpairs as computed; ``dense_matfun`` evaluates the first column
+f(H) e1 of a matrix function by the rule its catalog entry holds, behind a
+guard on the eigenvalues for the functions with a branch cut.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -19,70 +16,40 @@ from scipy.sparse.linalg import splu
 from .functions import DomainError, ScalarFunction
 
 __all__ = [
-    "EigenSolveError",
     "FactorizationError",
-    "EigDecomp",
     "eig_dense",
-    "sigma_min_shifted",
     "dense_matfun",
     "Factorization",
 ]
-
-
-class EigenSolveError(RuntimeError):
-    """The QR eigenvalue iteration failed to converge."""
 
 
 class FactorizationError(RuntimeError):
     """LU factorization hit an exactly singular pivot."""
 
 
-def _as_square(H, name="H"):
+def _as_square(H):
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"{name} must be a square 2-d array, got shape {H.shape}")
+        raise ValueError(f"H must be a square 2-d array, got shape {H.shape}")
     if H.dtype.kind not in "fc":
         H = H.astype(np.float64)
     if not np.all(np.isfinite(H)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("H contains non-finite entries")
     return H
 
 
-@dataclass
-class EigDecomp:
-    values: np.ndarray               # (d,) complex
-    vectors: np.ndarray | None       # (d, d) complex, unit columns; or None
-
-
 def eig_dense(H, vectors=True):
-    """All eigenvalues, and unless ``vectors=False`` the eigenvectors, of H.
+    """LAPACK's eigenvalues w and unit right eigenvectors vr of H, as (w, vr).
 
-    Backed by LAPACK's nonsymmetric solver (Hessenberg reduction, shifted QR
-    to Schur form, back-substitution for the eigenvectors).  With
-    ``vectors=False`` no eigenvector is computed and ``vectors`` is None.
+    The nonsymmetric solver (Hessenberg reduction, shifted QR to Schur form,
+    back-substitution for the eigenvectors).  With ``vectors=False`` only w
+    is computed and returned.  w is complex; vr is real when every
+    eigenvalue of a real H is.
     """
     H = _as_square(H)
-    try:
-        if not vectors:
-            w = scipy.linalg.eigvals(H, check_finite=False)
-            return EigDecomp(np.asarray(w, dtype=complex), None)
-        w, vr = scipy.linalg.eig(H, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - QR stagnation
-        raise EigenSolveError(f"QR eigenvalue iteration did not converge: {exc}") from exc
-    vr = np.asarray(vr, dtype=complex)
-    norms = np.linalg.norm(vr, axis=0)
-    norms[norms == 0.0] = 1.0
-    vr = vr / norms
-    return EigDecomp(np.asarray(w, dtype=complex), vr)
-
-
-def sigma_min_shifted(M, theta):
-    """Smallest singular value of M - theta*I."""
-    M = _as_square(M, "M")
-    shifted = M.astype(np.result_type(M.dtype, np.asarray(theta).dtype), copy=True)
-    shifted[np.diag_indices_from(shifted)] -= theta
-    vals = scipy.linalg.svdvals(shifted, check_finite=False)
-    return float(vals[-1])
+    if not vectors:
+        return scipy.linalg.eigvals(H, check_finite=False)
+    return scipy.linalg.eig(H, check_finite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +68,7 @@ def dense_matfun(H, f: ScalarFunction):
         return f.first_column(H)
     # distance of each eigenvalue to the closed ray (-inf, 0]; ||H||_F bounds
     # ||H||_2 from above, so the tolerance is never looser than a 2-norm one
-    lam = eig_dense(H, vectors=False).values
+    lam = eig_dense(H, vectors=False)
     dist = np.where(lam.real <= 0.0, np.abs(lam.imag), np.abs(lam))
     bad = dist <= 1e-12 * float(np.linalg.norm(H))
     if np.any(bad):

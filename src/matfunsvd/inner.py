@@ -10,7 +10,11 @@ stretch of memory.
 - ``standard-krylov`` is Arnoldi: column k is A times column k-1.  Its
   Gram-Schmidt is one product per column with the second pass delayed by
   one step (DCGS2, ``orth.rgs``), so the column returned by step k gets
-  its second pass at step k + 1; H_k and P_k are final after step k.
+  its second pass at step k + 1.  P_k is final after step k, but H_k is
+  not: step k + 1 adds that pass's correction to its last column, a
+  relative change of about the unit roundoff.  f(H_k) is evaluated on H_k
+  as step k leaves it, so every first_test hint at or below a solve's
+  return gives the full scan's result bit for bit.
 - ``extended-krylov`` spans {v, A^{-1}v, Av, A^{-2}v, A^2 v, A^{-3}v, ...}
   from one cached LU: an odd column is a solve against, and an even one a
   product with, the column two before it (column 0 for the first of each).

@@ -1,9 +1,9 @@
 """Test operators, matrix generators, and Matrix Market input.
 
-The large matrices are never handed to the solvers as dense arrays; they are
-wrapped in :class:`LinearOperator`, which exposes matvec/adjoint-matvec and
-a lazily cached LU factorization (``densela.Factorization``) for the extended
-Krylov solves.
+Every matrix, a programmatic dense array included, is handed to the solvers
+as a :class:`LinearOperator`: stored sparse (by diagonals for the banded
+generators, CSR otherwise), with matvec/adjoint-matvec and a lazily cached
+LU factorization (``densela.Factorization``) for the extended Krylov solves.
 """
 
 import math
@@ -55,27 +55,21 @@ class LinearOperator:
     """A square operator with deterministic matvecs and an adjoint."""
 
     def __init__(self, matrix):
-        if sparse.issparse(matrix):
-            # a matrix given by diagonals stays so, for its faster product;
-            # any other sparse format becomes CSR
-            dia = matrix.format == "dia"
-            mat = matrix.asformat("dia" if dia else "csr")
-            if np.iscomplexobj(mat.data):
-                mat = mat.astype(np.complex128)
-            else:
-                mat = mat.astype(np.float64)
-            adj = mat.T.conj()
-            self._mat = mat
-            self._adj = _ascending(adj) if dia else adj.tocsr()
-        else:
-            mat = np.asarray(matrix)
-            mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64)
-            self._mat = mat
-            self._adj = mat.conj().T.copy()
-        if self._mat.ndim != 2 or self._mat.shape[0] != self._mat.shape[1]:
+        # a matrix given by diagonals (DIA) stays so, for its faster product;
+        # any other input, a dense array or another sparse format, is CSR
+        if not sparse.issparse(matrix):
+            matrix = np.asarray(matrix)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise OperatorError("operator matrix must be square")
-        self.n = self._mat.shape[0]
-        self.dtype = self._mat.dtype
+        dia = sparse.issparse(matrix) and matrix.format == "dia"
+        mat = matrix if dia else sparse.csr_matrix(matrix)
+        mat = mat.astype(np.complex128 if np.iscomplexobj(mat.data)
+                         else np.float64)
+        adj = mat.T.conj()
+        self._mat = mat
+        self._adj = _ascending(adj) if dia else adj.tocsr()
+        self.n = mat.shape[0]
+        self.dtype = mat.dtype
         self._factorization = None
 
     def apply(self, x):
@@ -193,7 +187,7 @@ def _build_file(spec):
 def _build_dense(spec):
     if spec.dense_values is None:
         raise OperatorError("dense kind requires dense_values")
-    return LinearOperator(np.asarray(spec.dense_values))
+    return LinearOperator(spec.dense_values)
 
 
 _BUILDERS = {

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from . import relax
-from .densela import eig_dense, sigma_min_shifted
+from .densela import eig_dense
 from .functions import DomainError, ScalarFunction
 from .inner import _LAG, InnerPolicy, approx_fAv
 from .orth import BasisBreakdown, rgs
@@ -199,11 +199,12 @@ def _projected_eig(M, T, count):
     the entries; the vector norms of the run loop already keep theta within
     the square root of the floating-point range.
     """
-    dec = eig_dense(M @ T)
-    theta = np.sqrt(dec.values)
+    w, vr = eig_dense(M @ T)
+    theta = np.sqrt(w)
     theta[(theta.real == 0.0) & (theta.imag < 0.0)] *= -1.0
     order = np.lexsort((-theta.imag, -theta.real, -np.abs(theta)))
-    theta, X = theta[order], dec.vectors[:, order[:count]]
+    # vr is real when every eigenvalue is; the blocks are complex regardless
+    theta, X = theta[order], vr[:, order[:count]].astype(complex)
     Y = np.column_stack([T @ x / t if t != 0.0 else np.zeros_like(x)
                          for x, t in zip(X.T, theta)])
     return theta, X, Y
@@ -314,7 +315,8 @@ def verify_tau(state, k):
     r_vec = Y.conj().T @ (K @ qt)
     r_norm = float(np.linalg.norm(r_vec))
     B22 = Y.conj().T @ K @ Y
-    delta_true = float(sigma_min_shifted(B22, theta))
+    delta_true = float(scipy.linalg.svdvals(
+        B22 - theta * np.eye(2 * m - 1))[-1])
 
     condition_ok = bool(s_norm > 0.0
                         and r_norm < delta_true ** 2 / (4.0 * s_norm))

@@ -96,6 +96,17 @@ def test_power_unconverged_flag():
     assert not rep.converged and rep.outer_iters == 3
 
 
+def test_power_reports_a_domain_error_as_run_does():
+    # the inner projection of diag(-1, 2, 3) meets the branch cut of invsqrt
+    A = oracles.make_operator_from_dense(np.diag([-1.0, 2.0, 3.0]))
+    f = get_function("invsqrt")
+    pw = power_method(A, f, 1e-6)
+    bd = run(A, f, 1e-6)
+    assert not pw.converged and not bd.converged
+    assert pw.aborted.startswith("domain error in inner solve: ")
+    assert pw.aborted == bd.aborted
+
+
 def test_power_input_validation():
     A = op("A2:n=10")
     with pytest.raises(ValueError):
@@ -154,6 +165,45 @@ def test_exp_bound_tight_for_hermitian_input():
     res = exp_norm_bound(A, tol=1e-10)
     true = np.linalg.norm(oracles.dense_fA(B, "exp"), 2)
     npt.assert_allclose(res.bound, true, rtol=1e-7)
+
+
+# (token, sign, tol, max_iters) -> iterations, converged and lambda_max as
+# recorded from the stand-alone Lanczos loop that exp_norm_bound ran before it
+# used the inner Arnoldi builder (one BLAS thread)
+EXP_BOUND_RECORDED = [
+    ("A1:n=400:seed=0", 1, 1e-10, 400, 90, True, 2.179177660924084),
+    ("A1:n=400:seed=0", -1, 1e-10, 400, 73, True, -0.8389512192297222),
+    ("A1:n=400:seed=3", 1, 1e-10, 400, 100, True, 2.137632933059898),
+    ("A1:n=400:seed=3", -1, 1e-10, 400, 70, True, -0.847277741512326),
+    ("A2:n=400", 1, 1e-10, 400, 400, True, 2.4999846556397034),
+    ("A2:n=400", -1, 1e-10, 400, 400, True, -1.5000153443602962),
+    ("A3:n=400", 1, 1e-10, 400, 178, True, 20.325985265821554),
+    ("A3:n=400", -1, 1e-10, 400, 180, True, -0.6835157105892955),
+    ("A5:n=400", 1, 1e-10, 400, 74, True, 7.955323304900515),
+    ("A5:n=400", -1, 1e-10, 400, 83, True, -0.04467669509948548),
+    ("A3:n=400", 1, 1e-10, 50, 50, False, 20.317852480981887),
+    ("A2:n=400", 1, 1e-6, 400, 379, True, 2.4999846553991705),
+    ("A2:n=400", -1, 1e-12, 120, 120, False, -1.500035274138772),
+    ("A1:n=400:seed=0", 1, 1e-6, 400, 69, True, 2.1791776609155735),
+    ("A5:n=400", -1, 1e-6, 400, 67, True, -0.04467669509948656),
+]
+
+
+@pytest.mark.parametrize("token,sign,tol,max_iters,iterations,converged,lam",
+                         EXP_BOUND_RECORDED)
+def test_exp_bound_matches_recorded_values_and_dense_oracle(
+        token, sign, tol, max_iters, iterations, converged, lam):
+    A = op(token)
+    res = exp_norm_bound(A, sign=sign, tol=tol, max_iters=max_iters)
+    assert (res.iterations, res.converged) == (iterations, converged)
+    npt.assert_allclose(res.lambda_max, lam, rtol=1e-13, atol=0)
+    if converged:
+        # the Ritz value is within its residual, tol*|lambda|, of the
+        # largest eigenvalue of the Hermitian part
+        D = oracles.dense(A)
+        evals = np.linalg.eigvalsh(0.5 * sign * (D + D.conj().T))
+        npt.assert_allclose(res.lambda_max, evals[-1], rtol=tol,
+                            atol=1e-13 * np.abs(evals).max())
 
 
 def test_exp_bound_validation_and_exhaustion():

@@ -261,6 +261,24 @@ def test_main_left_breakdown_warns_and_exits_1(tmp_path, capsys):
     assert f"warning: {token}/identity: left basis breakdown" in captured.err
 
 
+@pytest.mark.parametrize("command", ["run", "power"])
+def test_main_domain_error_warns_keeps_rows_and_exits_1(command, tmp_path,
+                                                        capsys):
+    # invsqrt has a branch cut on (-inf, 0]; the inner projection of
+    # diag(-1, 2, 3) meets it, while exp on the same matrix converges
+    path = oracles.write_mtx(tmp_path / "d.mtx", np.diag([-1.0, 2.0, 3.0]))
+    token = f"file:path={path}"
+    code = cli.main([command, "--matrix", token, "--function", "exp",
+                     "--function", "invsqrt", "--eps-out", "1e-6"])
+    captured = capsys.readouterr()
+    rows = parse_csv(captured.out)
+    assert code == 1
+    assert [(r["function"], r["converged"]) for r in rows] == [
+        ("exp", True), ("invsqrt", False)]
+    assert (f"warning: {token}/invsqrt: domain error in inner solve: "
+            in captured.err)
+
+
 def test_main_power_subcommand(capsys):
     code = cli.main(["power", "--matrix", "A5:n=100", "--function", "exp",
                      "--eps-out", "1e-3"])

@@ -1,4 +1,4 @@
-"""Dense kernels: eig and shifted-sigma wrappers, f(H), and the operator LU."""
+"""Dense kernels: LAPACK eigenpairs, f(H), and the operator LU."""
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from matfunsvd import (FUNCTION_IDS, DomainError, build_operator, get_function,
                        parse_matrix_token)
 from matfunsvd.densela import (Factorization, FactorizationError, dense_matfun,
-                               eig_dense, sigma_min_shifted)
+                               eig_dense)
 
 import oracles
 
@@ -22,26 +22,21 @@ def random_matrix(n, seed, complex_=False):
 
 
 # ---------------------------------------------------------------------------
-# eig / shifted sigma
+# eig
 
 
 @pytest.mark.parametrize("n,seed", [(5, 3), (20, 4), (40, 5)])
 def test_eig_dense_residuals(n, seed):
     A = random_matrix(n, seed, complex_=(seed % 2 == 0))
-    dec = eig_dense(A)
+    w, vr = eig_dense(A)
     scale = np.linalg.norm(A, 2)
+    npt.assert_allclose(np.sort_complex(eig_dense(A, vectors=False)),
+                        np.sort_complex(w), rtol=0, atol=1e-12 * scale)
     for i in range(n):
-        v = dec.vectors[:, i]
+        v = vr[:, i]
         npt.assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-12)
-        resid = np.linalg.norm(A @ v - dec.values[i] * v)
+        resid = np.linalg.norm(A @ v - w[i] * v)
         assert resid <= 1e3 * n * np.finfo(float).eps * scale
-
-
-def test_sigma_min_shifted_matches_svd():
-    A = random_matrix(10, 8, complex_=True)
-    for theta in (0.0, 1.5, 2.0 - 0.5j):
-        want = np.linalg.svd(A - theta * np.eye(10), compute_uv=False)[-1]
-        npt.assert_allclose(sigma_min_shifted(A, theta), want, rtol=1e-11)
 
 
 # ---------------------------------------------------------------------------

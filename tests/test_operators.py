@@ -147,7 +147,8 @@ def test_banded_factorization_solves_at_the_csr_level(token):
         assert resid <= 1e-12 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("values", [np.ones((3, 4)), np.ones(4)])
+@pytest.mark.parametrize("values", [np.ones((3, 4)), np.ones(4),
+                                    np.ones((2, 2, 2)), np.array(3.0)])
 def test_dense_operator_must_be_square(values):
     with pytest.raises(OperatorError):
         build_operator(MatrixSpec(kind="dense", dense_values=values))

@@ -291,7 +291,9 @@ def test_triplet_vectors_are_lifted_to_unit_n_vectors():
     assert rep.converged and len(rep.triplets) == 3
     for t in rep.triplets:
         for vec in (t.left, t.right):
-            assert vec.shape == (A.n,)
+            # complex also where LAPACK returns the real eigenvectors of a
+            # real projected problem whose eigenvalues are all real
+            assert vec.shape == (A.n,) and vec.dtype == np.complex128
             npt.assert_allclose(np.linalg.norm(vec), 1.0, rtol=1e-12)
 
 

@@ -87,6 +87,12 @@ def test_self_certificate_at_full_step():
     assert diag.tail_norm == 0.0
     assert diag.theta_shift <= 1e-12
     npt.assert_allclose(diag.theta_matched, abs(lam), rtol=1e-12)
+    # the embedding is an eigenvector of the symmetric K, so delta_true is
+    # the distance from theta to the rest of its spectrum
+    ev = np.linalg.eigvalsh(oracles.khat(st.M, st.T[:m]))
+    rest = np.delete(ev, np.argmin(np.abs(ev - lam.real)))
+    npt.assert_allclose(diag.delta_true, np.min(np.abs(rest - lam.real)),
+                        rtol=1e-12)
 
 
 def run_state(token, fid, eps_out, eps_inner=1e-10, m_max=300):
