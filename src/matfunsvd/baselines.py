@@ -43,7 +43,9 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     inner dimension of the previous sweep minus the lag, so ``f(H_k)`` is
     evaluated only from where that test can use it.  Also as in ``run``, a
     DomainError of an inner solve ends the iteration unconverged, with
-    ``aborted`` set to "domain error in inner solve: ...".
+    ``aborted`` set to "domain error in inner solve: ...".  ``outer_iters``
+    counts the completed sweeps, those whose two solves both returned;
+    sigma is nan when none completed.
     """
     if not (0.0 < eps_out < 1.0):
         raise ValueError("eps_out must lie in (0, 1)")
@@ -65,7 +67,7 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     aborted = None
     w = np.zeros(A.n, dtype=A.dtype)
     first_test = _LAG + 1  # inner hint, as run keeps it in BidiagState
-    for it in range(1, max_iters + 1):
+    for _ in range(max_iters):
         try:
             r1 = approx_fAv(A, f, v, eps_inner, policy, adjoint=False,
                             first_test=first_test)
@@ -92,7 +94,8 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
             break
         v = y / ynorm
 
-    sigma = float(np.sqrt(lam))
+    sweeps = len(ledger)  # one entry per completed sweep
+    sigma = float(np.sqrt(lam)) if sweeps else np.nan
     wall = time.perf_counter() - t0
     left = w / np.linalg.norm(w) if np.linalg.norm(w) > 0 else w
     triplet = TripletEstimate(
@@ -100,9 +103,9 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
         computed_residual=resid if np.isfinite(resid) else np.nan,
         gap_bound=np.nan, theta_gap_second=np.nan)
     return RunReport(
-        sigma=sigma, triplets=[triplet], outer_iters=it,
+        sigma=sigma, triplets=[triplet], outer_iters=sweeps,
         inner_total=inner_total,
-        inner_avg=inner_total / (2 * it),
+        inner_avg=inner_total / (2 * sweeps) if sweeps else 0.0,
         wall_time_s=wall, converged=converged, seed=seed, ledger=ledger,
         matrix_label=matrix_label, function_label=f.id,
         method_label="power", aborted=aborted)

@@ -4,12 +4,18 @@
 (projected Hessenberg and coupling matrices); ``Factorization`` is the one
 SuperLU factorization of a large operator.  ``eig_dense`` returns LAPACK's
 eigenpairs as computed; ``dense_matfun`` evaluates the first column
-f(H) e1 of a matrix function by the rule its catalog entry holds, behind a
-guard on the eigenvalues for the functions with a branch cut.
+f(H) e1 of a matrix function by the rule its catalog entry holds.  For the
+functions with a branch cut it factors H = Z T Z^H once, with LAPACK's
+Schur routine; a guard reads the eigenvalues from T, and the rule works on
+T.  The small problems call LAPACK directly, each routine with the
+workspace its own query asked for at that dimension.
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
@@ -38,18 +44,61 @@ def _as_square(H):
     return H
 
 
+@functools.cache
+def _lwork(routine, n):
+    """Workspace LAPACK's own query asks of geev or gees at dimension n.
+
+    It covers the blocked Hessenberg reduction, so it is queried once per
+    routine and dimension rather than passed as the minimum (3n).
+    """
+    if routine.endswith("geev"):
+        work = getattr(lapack, routine + "_lwork")(n, 0, 0)[0]
+    else:
+        work = getattr(lapack, routine)(_unsorted, np.zeros((n, n)),
+                                        lwork=-1)[-2][0]
+    return int(work.real)
+
+
+def _unsorted(*_):
+    # gees' selection callback; with sort_t=0 LAPACK never calls it
+    return 0
+
+
+def _checked(info, routine):
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
+
+
 def eig_dense(H, vectors=True):
     """LAPACK's eigenvalues w and unit right eigenvectors vr of H, as (w, vr).
 
     The nonsymmetric solver (Hessenberg reduction, shifted QR to Schur form,
     back-substitution for the eigenvectors).  With ``vectors=False`` only w
-    is computed and returned.  w is complex; vr is real when every
-    eigenvalue of a real H is.
+    is computed, by one call of geev, and returned.  w is complex; vr is
+    real when every eigenvalue of a real H is.
     """
     H = _as_square(H)
-    if not vectors:
-        return scipy.linalg.eigvals(H, check_finite=False)
-    return scipy.linalg.eig(H, check_finite=False)
+    if vectors:
+        return scipy.linalg.eig(H, check_finite=False)
+    n = H.shape[0]
+    if H.dtype.kind == "c":
+        w, _, _, info = lapack.zgeev(H, compute_vl=0, compute_vr=0,
+                                     lwork=_lwork("zgeev", n))
+    else:
+        wr, wi, _, _, info = lapack.dgeev(H, compute_vl=0, compute_vr=0,
+                                          lwork=_lwork("dgeev", n))
+        w = wr + 1j * wi
+    _checked(info, "geev")
+    return w
+
+
+def _schur(H):
+    """H = Z T Z^H by gees: T quasi-triangular for real H, triangular else."""
+    routine = "zgees" if H.dtype.kind == "c" else "dgees"
+    out = getattr(lapack, routine)(_unsorted, H,
+                                   lwork=_lwork(routine, H.shape[0]))
+    _checked(out[-1], routine)
+    return out[0], out[-3]
 
 
 # ---------------------------------------------------------------------------
@@ -59,16 +108,19 @@ def dense_matfun(H, f: ScalarFunction):
     """First column f(H) e1 of the matrix function of a small dense matrix.
 
     The inner solve needs only c = f(H) e1, so no other column is formed;
-    the rule is the catalog entry's ``first_column``.  A function with a
-    branch cut first raises DomainError when an eigenvalue of H lies on the
-    ray (-inf, 0] or within 1e-12*||H||_F of it.
+    the rule is the catalog entry's ``first_column``, applied to H.  For a
+    function with a branch cut, H = Z T Z^H is factored once (real Schur
+    form for real H).  A guard raises DomainError when an eigenvalue of T
+    (those of H) lies on the ray (-inf, 0] or within 1e-12*||H||_F of it;
+    otherwise the rule gets T and b = Z^H e1, and c = Z f(T) b.
     """
     H = _as_square(H)
     if not f.has_branch_cut:
         return f.first_column(H)
+    T, Z = _schur(H)
     # distance of each eigenvalue to the closed ray (-inf, 0]; ||H||_F bounds
     # ||H||_2 from above, so the tolerance is never looser than a 2-norm one
-    lam = eig_dense(H, vectors=False)
+    lam = eig_dense(T, vectors=False)
     dist = np.where(lam.real <= 0.0, np.abs(lam.imag), np.abs(lam))
     bad = dist <= 1e-12 * float(np.linalg.norm(H))
     if np.any(bad):
@@ -76,7 +128,7 @@ def dense_matfun(H, f: ScalarFunction):
             f"projected matrix of dimension {H.shape[0]} hit the excluded set "
             f"of {f.id}: eigenvalue {lam[bad][0]} lies on (or within "
             "1e-12*||H||_F of) the ray (-inf, 0]")
-    return f.first_column(H)
+    return Z @ f.first_column(T, Z[0].conj())
 
 
 # ---------------------------------------------------------------------------

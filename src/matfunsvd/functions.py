@@ -6,12 +6,14 @@ f has a branch cut.  Functions with a branch cut use the principal branch
 with the cut along the closed ray (-inf, 0]; their rules assume the
 spectrum of H stays off that ray (``densela.dense_matfun`` guards it).
 
-exp/expneg take the first column of scipy's ``expm`` (scaling and squaring
-with a Pade approximant; Al-Mohy & Higham, SIMAX 2009).  The branch-cut
-functions share the principal square root S of H from scipy's blocked Schur
-method (Deadman, Higham & Ralha 2013; real Schur form for real H, Higham
-1987): sqrt returns S e1, invsqrt S^{-1} e1 and phi H^{-1} (exp(-S) - I) e1,
-each by one vector solve.
+exp/expneg take the first column of scipy's ``expm`` of H (scaling and
+squaring with a Pade approximant; Al-Mohy & Higham, SIMAX 2009).  The
+branch-cut rules work on the Schur form H = Z T Z^H that
+``densela.dense_matfun`` computes once (quasi-triangular T for real H,
+Higham 1987), with b = Z^H e1, and return f(T) b.  They share the
+principal square root S of T from scipy's Schur method, which starts from
+T as it is (Deadman, Higham & Ralha 2013): sqrt returns S b, invsqrt
+S^{-1} b and phi T^{-1} (exp(-S) - I) b, each by one vector solve.
 """
 
 from dataclasses import dataclass, field
@@ -32,26 +34,19 @@ class DomainError(ValueError):
     """Argument (or matrix spectrum) touches the excluded set of a function."""
 
 
-def _e1(S):
-    e1 = np.zeros(S.shape[0], dtype=S.dtype)
-    e1[0] = 1.0
-    return e1
-
-
-def _invsqrt(H):
-    S = scipy.linalg.sqrtm(H)
-    return np.linalg.solve(S, _e1(S))
-
-
-def _phi(H):
+def _phi(T, b):
     # phi(z) = (exp(-sqrt(z)) - 1) / z
-    S = scipy.linalg.sqrtm(H)
-    return np.linalg.solve(H, scipy.linalg.expm(-S)[:, 0] - _e1(S))
+    S = scipy.linalg.sqrtm(T)
+    return np.linalg.solve(T, scipy.linalg.expm(-S) @ b - b)
 
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A function f: its id, branch-cut flag and dense rule H -> f(H) e1."""
+    """A function f: its id, branch-cut flag and dense rule.
+
+    The rule maps H to f(H) e1; with a branch cut it maps the Schur factor
+    T of H and b = Z^H e1 to f(T) b instead.
+    """
 
     id: str
     has_branch_cut: bool
@@ -61,8 +56,9 @@ class ScalarFunction:
 _CATALOG = {s.id: s for s in (
     ScalarFunction("exp", False, lambda H: scipy.linalg.expm(H)[:, 0]),
     ScalarFunction("expneg", False, lambda H: scipy.linalg.expm(-H)[:, 0]),
-    ScalarFunction("sqrt", True, lambda H: scipy.linalg.sqrtm(H)[:, 0]),
-    ScalarFunction("invsqrt", True, _invsqrt),
+    ScalarFunction("sqrt", True, lambda T, b: scipy.linalg.sqrtm(T) @ b),
+    ScalarFunction("invsqrt", True,
+                   lambda T, b: np.linalg.solve(scipy.linalg.sqrtm(T), b)),
     ScalarFunction("phi", True, _phi),
     ScalarFunction("identity", False, lambda H: H[:, 0].copy()),
 )}

@@ -36,7 +36,8 @@ omega_history is exposed so callers can inspect it.
 The dense f(H_k) costs O(k^3), so evaluating it at every k makes a solve
 of dimension d cost O(d^4).  The hint ``first_test`` is the step of the
 first omega test; the outer bidiagonalization sets it from the inner
-dimensions of its previous step.  f(H_k) is evaluated only from
+dimensions of its previous step, and in its first step the adjoint solve
+from the forward one.  f(H_k) is evaluated only from
 k = first_test - 2 (the lagged partner of that test) on, on a breakdown and
 at the last step.  The extended basis grows in pairs, one solve and one
 product, so extended Krylov evaluates f(H_k) and tests only at even k,
@@ -195,7 +196,8 @@ def approx_fAv(A, f: ScalarFunction, v, eps_inner, policy=InnerPolicy(),
     first omega test runs at k = first_test, clamped to at most
     min(max_dim, n) and at least 3; the default tests from k = 3 on, and the
     outer bidiagonalization passes the smaller inner dimension of its
-    previous step minus 2.  The coefficients c_k = f(H_k) e1 ||v|| of the
+    previous step minus 2 (in its first step, the adjoint solve gets the
+    forward dimension minus 2).  The coefficients c_k = f(H_k) e1 ||v|| of the
     iterate z_k = P_k c_k are computed from k = first_test - 2 on, on a
     basis breakdown and at the last step; below that only the basis grows.
     Extended Krylov computes c_k and tests only at even k, once per

@@ -166,8 +166,11 @@ def bidiag_step(state: BidiagState, A, f: ScalarFunction, eps_inner,
         return r1, None
     state._U[:, j] = u_j
 
+    # the first step has no earlier dimensions: the adjoint solve takes its
+    # hint from the forward one
     r2 = approx_fAv(A, f, u_j, eps_inner, policy, adjoint=True,
-                    first_test=state.first_test)
+                    first_test=r1.dims_used - _LAG if j == 0
+                    else state.first_test)
     try:
         v_next, t_coeffs = rgs(r2.vector, state.V)
         state._V[:, j + 1] = v_next

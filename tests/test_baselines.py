@@ -105,6 +105,9 @@ def test_power_reports_a_domain_error_as_run_does():
     assert not pw.converged and not bd.converged
     assert pw.aborted.startswith("domain error in inner solve: ")
     assert pw.aborted == bd.aborted
+    # the first sweep did not complete: no sweep counts, no sigma
+    assert pw.outer_iters == bd.outer_iters == 0
+    assert np.isnan(pw.sigma) and np.isnan(bd.sigma)
 
 
 def test_power_input_validation():

@@ -275,6 +275,8 @@ def test_main_domain_error_warns_keeps_rows_and_exits_1(command, tmp_path,
     assert code == 1
     assert [(r["function"], r["converged"]) for r in rows] == [
         ("exp", True), ("invsqrt", False)]
+    # no step completed on invsqrt: its sigma cell is empty
+    assert rows[1]["sigma"] is None and rows[1]["outer"] == 0
     assert (f"warning: {token}/invsqrt: domain error in inner solve: "
             in captured.err)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from matfunsvd import (FUNCTION_IDS, DomainError, build_operator, get_function,
@@ -37,6 +38,18 @@ def test_eig_dense_residuals(n, seed):
         npt.assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-12)
         resid = np.linalg.norm(A @ v - w[i] * v)
         assert resid <= 1e3 * n * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "1x1", "quasi-triangular"])
+def test_eig_dense_eigenvalues_match_scipy(case):
+    H = {"real": random_matrix(12, 6),
+         "complex": random_matrix(12, 7, complex_=True),
+         "1x1": np.array([[2.5]]),
+         "quasi-triangular": scipy.linalg.schur(random_matrix(12, 8))[0]}[case]
+    w = eig_dense(H, vectors=False)
+    npt.assert_allclose(np.sort_complex(w),
+                        np.sort_complex(scipy.linalg.eigvals(H)),
+                        rtol=0, atol=1e-13 * np.linalg.norm(H, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +196,52 @@ def test_branch_cut_flag_alone_decides_the_guard(fid):
             dense_matfun(H, f)
     else:
         assert np.all(np.isfinite(dense_matfun(H, f)))
+
+
+def real_with_pairs(blocks, reals, seed, upper=2.0):
+    """Q T Q^T: T has the 2 x 2 blocks [[a, b], [-b, a]] (pairs a +/- b i)
+    and the real eigenvalues on its diagonal, plus a random upper part."""
+    rng = np.random.default_rng(seed)
+    n = 2 * len(blocks) + len(reals)
+    T = np.triu(upper * rng.standard_normal((n, n)), 1)
+    for i, (a, b) in enumerate(blocks):
+        T[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[a, b], [-b, a]]
+    for i, x in enumerate(reals, start=2 * len(blocks)):
+        T[i, i] = x
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q @ T @ Q.T
+
+
+def complex_pairs_of_schur_form(H):
+    # the 2 x 2 blocks of the real Schur form: one nonzero subdiagonal each
+    return int(np.count_nonzero(np.diag(scipy.linalg.schur(H)[0], -1)))
+
+
+@pytest.mark.parametrize("fid", ["sqrt", "invsqrt", "phi"])
+def test_matfun_real_schur_blocks_match_mpmath(fid):
+    # a non-normal real H with two complex-conjugate pairs (one left of the
+    # imaginary axis) and three real eigenvalues: T has two 2 x 2 blocks
+    H = real_with_pairs([(1.0, 2.0), (-0.5, 1.5)], [0.7, 2.0, 3.5], seed=3)
+    assert complex_pairs_of_schur_form(H) == 2
+    got = dense_matfun(H, get_function(fid))
+    want = oracles.dense_fA_mp(H, fid)[:, 0]
+    assert got.dtype == np.float64
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_matfun_domain_error_on_complex_pair_near_the_ray():
+    # the pair -1 +/- 1e-12 i lies within 1e-12 * ||H||_F of the ray and
+    # stays a 2 x 2 block of T; at -1 +/- 1e-3 i it is off the ray
+    for b, on_cut in [(1e-12, True), (1e-3, False)]:
+        H = real_with_pairs([(-1.0, b)], [2.0, 3.0], seed=4, upper=0.0)
+        assert complex_pairs_of_schur_form(H) == 1
+        for fid in ("sqrt", "invsqrt", "phi"):
+            if on_cut:
+                with pytest.raises(DomainError, match="lies on"):
+                    dense_matfun(H, get_function(fid))
+            else:
+                got = dense_matfun(H, get_function(fid))
+                assert got.dtype == np.float64 and np.all(np.isfinite(got))
 
 
 def test_matfun_identity_function_is_exact():

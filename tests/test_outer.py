@@ -284,6 +284,55 @@ def test_run_passes_the_inner_dimension_hint(monkeypatch):
     assert len(calls) < rep.inner_total / 3
 
 
+def test_first_adjoint_solve_takes_the_forward_hint(monkeypatch):
+    calls, solves = [], []
+    original_matfun = matfunsvd.densela.dense_matfun
+    original_solve = matfunsvd.outer.approx_fAv
+
+    def counting_matfun(H, g):
+        calls.append(H.shape[0])
+        return original_matfun(H, g)
+
+    def counting_solve(*args, **kwargs):
+        start = len(calls)
+        res = original_solve(*args, **kwargs)
+        solves.append((kwargs["adjoint"], len(calls) - start))
+        return res
+
+    monkeypatch.setattr(matfunsvd.densela, "dense_matfun", counting_matfun)
+    monkeypatch.setattr(matfunsvd.outer, "approx_fAv", counting_solve)
+    rep = run(op("A5:n=400"), get_function("invsqrt"), 1e-6, m_max=50,
+              inner_policy=InnerPolicy(method="extended-krylov"), seed=1)
+    assert rep.converged
+    (forward, forward_calls), (adjoint, adjoint_calls) = solves[:2]
+    # the forward solve of step 1 has no hint and scans every pair; the
+    # adjoint one starts testing at the forward dimension minus the lag
+    assert not forward and adjoint
+    assert forward_calls > 3 and adjoint_calls <= 3
+
+
+@pytest.mark.parametrize("token,fid,method,relax,seed,outer,inner,sigma", [
+    ("A5:n=400", "exp", "standard-krylov", False, 0, 14, 835, 2817.6296773234876),
+    ("A5:n=400", "exp", "standard-krylov", False, 1, 15, 898, 2817.62967738105),
+    ("A5:n=400", "exp", "standard-krylov", False, 2, 14, 836, 2817.629677338517),
+    ("A5:n=100", "invsqrt", "extended-krylov", False, 0, 13, 752, 0.8791972718853877),
+    ("A5:n=100", "invsqrt", "extended-krylov", False, 1, 13, 758, 0.8791972718391992),
+    ("A5:n=100", "invsqrt", "extended-krylov", False, 2, 14, 822, 0.8791972718765567),
+    ("A5:n=100", "invsqrt", "extended-krylov", True, 0, 13, 672, 0.8791972718888633),
+    ("A5:n=100", "invsqrt", "extended-krylov", True, 1, 13, 664, 0.8791972718248036),
+    ("A5:n=100", "invsqrt", "extended-krylov", True, 2, 14, 742, 0.8791972718794715),
+])
+def test_first_step_hint_keeps_the_recorded_run(token, fid, method, relax,
+                                                seed, outer, inner, sigma):
+    # counts and sigma as the unhinted first adjoint solve (and, for
+    # invsqrt, the f(H) of scipy's sqrtm on H) gave them
+    rep = run(op(token), get_function(fid), 1e-6, seed=seed,
+              inner_policy=InnerPolicy(method=method, relax=relax))
+    assert rep.converged
+    assert (rep.outer_iters, rep.inner_total) == (outer, inner)
+    assert abs(rep.sigma - sigma) <= 1e-12 * sigma
+
+
 def test_triplet_vectors_are_lifted_to_unit_n_vectors():
     A = op("A5:n=100")
     rep = run(A, get_function("exp"), 1e-8, inner_policy=EXACT, num_triplets=3,
