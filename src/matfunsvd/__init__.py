@@ -14,7 +14,7 @@ from .baselines import exp_norm_bound, power_method
 from .functions import DomainError, FUNCTION_IDS, get_function
 from .operators import (MatrixMarketError, MatrixSpec, OperatorError,
                         build_operator, parse_matrix_token)
-from .outer import InnerPolicy, RunReport, TripletEstimate, run, verify_tau
+from .outer import InnerPolicy, RunReport, TripletEstimate, run
 
 __version__ = "0.1.0"
 
@@ -25,5 +25,5 @@ __all__ = [
     "build_operator", "parse_matrix_token", "MatrixSpec",
     "get_function", "FUNCTION_IDS",
     "DomainError", "OperatorError", "MatrixMarketError",
-    "power_method", "exp_norm_bound", "verify_tau",
+    "power_method", "exp_norm_bound",
 ]

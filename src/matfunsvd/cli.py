@@ -23,7 +23,7 @@ import json
 import math
 import sys
 
-from . import baselines, operators, outer
+from . import baselines, densela, operators, outer
 from .functions import FUNCTION_IDS, get_function
 from .operators import OperatorError
 
@@ -269,9 +269,9 @@ def build_parser():
 def main(argv=None):
     """Run one subcommand and write its table.
 
-    Returns 0 when nothing was skipped and every solve behind the table
-    converged (for ``triplets``, the fixed and the relaxed run alike), 1
-    otherwise, and 2 on invalid input.
+    Returns 0 when nothing was skipped and every solve converged (for
+    ``triplets``, the fixed and the relaxed run alike), 1 otherwise, and 2
+    on invalid input, a singular A under ``--inner eksm`` included.
     """
     args = build_parser().parse_args(argv)
     solve, columns = _TABLES[args.command]
@@ -287,7 +287,7 @@ def main(argv=None):
                 new_rows, flags = solve(args, token, A, label)
                 rows += new_rows
                 converged = converged and all(flags)
-    except (OperatorError, ValueError) as exc:
+    except (OperatorError, ValueError, densela.FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for token, label, reason in skips:

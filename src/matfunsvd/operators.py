@@ -294,8 +294,11 @@ def read_matrix_market(path):
         coordinate = fmt == "coordinate"
         if len(size) != 2 + coordinate:
             raise MatrixMarketError(f"bad {fmt} size line: {' '.join(size)!r}")
-        nrows, ncols = int(size[0]), int(size[1])
-        count = int(size[2]) if coordinate else nrows * ncols
+        try:
+            nrows, ncols = int(size[0]), int(size[1])
+            count = int(size[2]) if coordinate else nrows * ncols
+        except ValueError:
+            raise MatrixMarketError(f"bad {fmt} size line: {' '.join(size)!r}") from None
         if min(nrows, ncols, count) < 0:
             raise MatrixMarketError(f"negative size in {' '.join(size)!r}")
         # record: 1-based (i, j) of a coordinate entry, then 1 or 2 value tokens
@@ -309,12 +312,13 @@ def read_matrix_market(path):
                 raise MatrixMarketError(f"bad {fmt} entry: {' '.join(toks)!r}")
             if k == count:
                 raise MatrixMarketError(f"more {fmt} entries than declared")
-            if coordinate:
-                ij[:, k] = int(toks[0]), int(toks[1])
-            if complex_field:
-                vals[k] = float(toks[-2]) + 1j * float(toks[-1])
-            else:
-                vals[k] = float(toks[-1])
+            try:
+                if coordinate:
+                    ij[:, k] = int(toks[0]), int(toks[1])
+                vals[k] = (complex(float(toks[-2]), float(toks[-1]))
+                           if complex_field else float(toks[-1]))
+            except (ValueError, OverflowError):
+                raise MatrixMarketError(f"bad {fmt} entry: {' '.join(toks)!r}") from None
             k += 1
     if k != count:
         raise MatrixMarketError(f"{fmt} format declared {count} entries "

@@ -6,6 +6,7 @@ code with the package under test, so agreement is meaningful evidence.
 
 import csv
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -137,6 +138,46 @@ def leading_eigenpair(M, T):
     """The leading (value, unit vector) of khat_eigenpairs(M, T)."""
     lam, vecs = khat_eigenpairs(M, T)
     return lam[0], vecs[:, 0]
+
+
+def tau_certificate(state, k):
+    """The a-posteriori certificate of the step-k leading estimate of a state.
+
+    The step-k pair (theta, [x; y]) of K_k = khat(M[:k, :k], T[:k, :k]) is
+    embedded in the 2m-dimensional space of K = khat(M, T), m = state.j,
+    zero-padded with each block normalized and weighted by 1/sqrt(2).  The
+    2x2 partition of K that the embedding qt and a unitary completion Y
+    induce gives s = ||K^H qt - conj(theta) qt||, r = ||Y^H K qt||, delta =
+    sigma_min(Y^H K Y - theta I) and tau = 2 r / delta.  When r < delta^2 /
+    (4 s), the eigenvector of K (np.linalg.eig) with the largest overlap
+    with qt has tail_norm <= tail_bound = tau / sqrt(1 + tau^2) outside the
+    embedded positions, and its eigenvalue lies within s * tau of theta.
+    Returns the numbers; the callers assert the two inequalities.
+    """
+    m = state.j
+    M, T = state.M, state.T[:m]
+    K = khat(M, T)
+    theta, v = leading_eigenpair(M[:k, :k], T[:k, :k])
+    qt = np.zeros(2 * m, dtype=complex)
+    qt[:k] = v[:k] / (np.sqrt(2.0) * np.linalg.norm(v[:k]))
+    qt[m:m + k] = v[k:] / (np.sqrt(2.0) * np.linalg.norm(v[k:]))
+    Y = scipy.linalg.null_space(qt.conj()[None, :])
+
+    s_norm = float(np.linalg.norm(K.conj().T @ qt - np.conj(theta) * qt))
+    r_norm = float(np.linalg.norm(Y.conj().T @ (K @ qt)))
+    delta = float(scipy.linalg.svdvals(Y.conj().T @ K @ Y
+                                       - theta * np.eye(2 * m - 1))[-1])
+    tau = 2.0 * r_norm / delta if delta > 0 else np.inf
+    lam, vecs = np.linalg.eig(K)
+    i = int(np.argmax(np.abs(vecs.conj().T @ qt)))  # unit columns
+    tail = np.delete(vecs[:, i], np.r_[:k, m:m + k])
+    return SimpleNamespace(
+        tau_bound=tau, s_norm=s_norm, r_norm=r_norm, delta_true=delta,
+        condition_ok=s_norm > 0.0 and r_norm < delta ** 2 / (4.0 * s_norm),
+        tail_norm=float(np.linalg.norm(tail)),
+        theta_matched=float(abs(lam[i])),
+        theta_shift=float(abs(lam[i] - theta)),
+        tail_bound=tau / np.sqrt(1.0 + tau ** 2) if np.isfinite(tau) else 1.0)
 
 
 def state_from(M, T, g1, g2):

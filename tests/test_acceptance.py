@@ -28,7 +28,6 @@ from matfunsvd import (
     parse_matrix_token,
     power_method,
     run,
-    verify_tau,
 )
 
 import oracles
@@ -252,8 +251,7 @@ def test_criterion_6_tau_certificate():
     st = rep.state
     j = st.j
     k = j - 1
-    # verify_tau re-asserts both inequalities internally when condition_ok
-    diag = verify_tau(st, k)
+    diag = oracles.tau_certificate(st, k)
     assert diag.condition_ok
     assert diag.theta_matched is not None
     assert diag.tail_norm <= diag.tail_bound + 1e-10

@@ -217,6 +217,27 @@ def test_main_missing_file_exits_1(capsys):
     assert len(parse_csv(captured.out)) == 1
 
 
+def test_main_non_numeric_file_is_skipped_and_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 1\n1 1 abc\n")
+    code, rows, err = table(capsys, "run", "--matrix", f"file:path={path}",
+                            "--matrix", "A2:n=50", "--function", "exp",
+                            "--eps-out", "1e-3")
+    assert code == 1 and [r["matrix"] for r in rows] == ["A2:n=50"]
+    assert f"skipped: file:path={path}/exp: bad coordinate entry" in err
+
+
+@pytest.mark.parametrize("command", ["run", "triplets", "power"])
+def test_main_singular_operator_under_eksm_exits_2(command, tmp_path, capsys):
+    path = oracles.write_mtx(tmp_path / "d.mtx", np.diag([1.0, 0.0, 0.0, 0.0]))
+    code = cli.main([command, "--matrix", f"file:path={path}", "--function",
+                     "invsqrt", "--inner", "eksm"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: sparse LU failed")
+
+
 def test_main_unconverged_exits_1(capsys):
     code = cli.main(["run", "--matrix", "A2:n=60", "--function", "exp",
                      "--eps-out", "1e-10", "--m-max", "2"])

@@ -248,6 +248,10 @@ def test_mm_array_format(tmp_path):
     ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
      "skew"),
     ("%%MatrixMarket matrix coordinate real general\n2 2 -1\n", "negative"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n",
+     "entry: '1 1 abc'"),
+    ("%%MatrixMarket matrix coordinate real general\n3 x 3\n",
+     "size line: '3 x 3'"),
 ])
 def test_mm_rejects_malformed(tmp_path, body, msg):
     p = tmp_path / "bad.mtx"

@@ -2,7 +2,6 @@
 
 import numpy as np
 import numpy.testing as npt
-import pytest
 
 from matfunsvd import (
     InnerPolicy,
@@ -10,7 +9,6 @@ from matfunsvd import (
     get_function,
     parse_matrix_token,
     run,
-    verify_tau,
 )
 from matfunsvd.relax import next_tolerance
 
@@ -66,7 +64,7 @@ def test_scheduler_bounds_and_monotonicity():
 
 
 # ---------------------------------------------------------------------------
-# verify_tau
+# the tau certificate (oracles.tau_certificate)
 
 
 def symmetric_state():
@@ -80,7 +78,7 @@ def test_self_certificate_at_full_step():
     st = symmetric_state()
     m = st.j
     lam, _ = oracles.leading_eigenpair(st.M, st.T[:m])
-    diag = verify_tau(st, m)
+    diag = oracles.tau_certificate(st, m)
     assert diag.condition_ok
     assert diag.r_norm <= 1e-12
     assert diag.tau_bound <= 1e-11
@@ -109,7 +107,7 @@ def test_certificate_on_converged_run():
     m = st.j
     theta_k, _ = oracles.leading_eigenpair(st.M[:m - 1, :m - 1],
                                            st.T[:m - 1, :m - 1])
-    diag = verify_tau(st, m - 1)  # asserts internally
+    diag = oracles.tau_certificate(st, m - 1)
     assert diag.condition_ok
     assert diag.tail_norm <= diag.tail_bound + 1e-10
     assert diag.theta_shift <= diag.s_norm * diag.tau_bound + 1e-10
@@ -120,8 +118,12 @@ def test_certificate_on_converged_run():
 def test_certificate_far_from_convergence_is_weaker():
     st = run_state("A5:n=100", "exp", 1e-8)
     m = st.j
-    diag_e = verify_tau(st, max(3, m // 3))
-    diag_l = verify_tau(st, m - 1)
+    diag_e = oracles.tau_certificate(st, max(3, m // 3))
+    diag_l = oracles.tau_certificate(st, m - 1)
+    for diag in (diag_e, diag_l):
+        if diag.condition_ok:
+            assert diag.tail_norm <= diag.tail_bound + 1e-10
+            assert diag.theta_shift <= diag.s_norm * diag.tau_bound + 1e-10
     assert diag_l.tau_bound < diag_e.tau_bound
     assert diag_l.theta_shift < diag_e.theta_shift + 1e-12
 
@@ -135,19 +137,11 @@ def test_certificate_survives_block_perturbation():
     Mm = st.M + 1e-3 * np.triu(rng.standard_normal((m, m)))
     Tm = st.T + 1e-3 * np.triu(rng.standard_normal((m + 1, m)), -1)
     pert = oracles.state_from(Mm, Tm, st.ledger.g1, st.ledger.g2)
-    diag = verify_tau(pert, m - 1)  # asserts when applicable
+    diag = oracles.tau_certificate(pert, m - 1)
     assert diag.r_norm >= 0 and diag.delta_true >= 0
     if diag.condition_ok:
         assert diag.tail_norm <= diag.tail_bound + 1e-10
-
-
-def test_verify_tau_input_validation():
-    st = symmetric_state()
-    with pytest.raises(ValueError, match="keep_state=True"):
-        verify_tau(None, 1)
-    for k in (0, -1, st.j + 1):
-        with pytest.raises(ValueError, match="k must lie in"):
-            verify_tau(st, k)
+        assert diag.theta_shift <= diag.s_norm * diag.tau_bound + 1e-10
 
 
 # ---------------------------------------------------------------------------
