@@ -26,8 +26,7 @@ __all__ = ["power_method", "ExpBoundResult", "exp_norm_bound"]
 
 
 def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
-                 inner_policy: InnerPolicy | None = None, seed=0,
-                 matrix_label="") -> RunReport:
+                 inner_policy: InnerPolicy | None = None, seed=0) -> RunReport:
     """Largest singular value of f(A) by power iteration on f(A)^H f(A).
 
     Each sweep maps y = f(A)^H (f(A) v) through the inner approximations
@@ -43,9 +42,10 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     inner dimension of the previous sweep minus the lag, so ``f(H_k)`` is
     evaluated only from where that test can use it.  Also as in ``run``, a
     DomainError of an inner solve ends the iteration unconverged, with
-    ``aborted`` set to "domain error in inner solve: ...".  ``outer_iters``
-    counts the completed sweeps, those whose two solves both returned;
-    sigma is nan when none completed.
+    ``aborted`` set to "domain error in inner solve: ...", and a vanishing
+    f(A) v ends it with "f(A) v vanished" (``run`` reports a left basis
+    breakdown there).  ``outer_iters`` counts the completed sweeps, those
+    whose two solves both returned; sigma is nan when none completed.
     """
     if not (0.0 < eps_out < 1.0):
         raise ValueError("eps_out must lie in (0, 1)")
@@ -74,7 +74,8 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
             w = r1.vector
             inner_total += r1.dims_used
             if float(np.linalg.norm(w)) == 0.0:
-                break  # v in the numerical null space of f(A)
+                aborted = "f(A) v vanished"
+                break
             r2 = approx_fAv(A, f, w, eps_inner, policy, adjoint=True,
                             first_test=first_test)
         except DomainError as exc:
@@ -94,21 +95,16 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
             break
         v = y / ynorm
 
-    sweeps = len(ledger)  # one entry per completed sweep
-    sigma = float(np.sqrt(lam)) if sweeps else np.nan
-    wall = time.perf_counter() - t0
+    sigma = float(np.sqrt(lam)) if ledger else np.nan
     left = w / np.linalg.norm(w) if np.linalg.norm(w) > 0 else w
     triplet = TripletEstimate(
         theta=sigma, left=left, right=v,
         computed_residual=resid if np.isfinite(resid) else np.nan,
         gap_bound=np.nan, theta_gap_second=np.nan)
     return RunReport(
-        sigma=sigma, triplets=[triplet], outer_iters=sweeps,
-        inner_total=inner_total,
-        inner_avg=inner_total / (2 * sweeps) if sweeps else 0.0,
-        wall_time_s=wall, converged=converged, seed=seed, ledger=ledger,
-        matrix_label=matrix_label, function_label=f.id,
-        method_label="power", aborted=aborted)
+        triplets=[triplet], inner_total=inner_total,
+        wall_time_s=time.perf_counter() - t0, converged=converged,
+        ledger=ledger, aborted=aborted)
 
 
 @dataclass

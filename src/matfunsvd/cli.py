@@ -93,23 +93,36 @@ def emit_json(rows, columns=RUN_COLUMNS):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _report_to_row(report):
-    row = report.to_json_dict()
+def _report_to_row(token, fid, report):
+    """One RUN_COLUMNS row of a ``run`` or ``power_method`` report."""
+    row = {"matrix": token, "function": fid, "outer": report.outer_iters,
+           "inner_total": report.inner_total, "inner_avg": report.inner_avg,
+           "time_s": report.wall_time_s, "converged": report.converged}
     for key in ("sigma", "rel_gap_second", "gap_bound"):
-        row[key] = _clean(round_sig(row[key]))
+        row[key] = _clean(round_sig(getattr(report, key)))
     return row
 
 
 def _operators(args, labels, skips):
-    """Resolve every matrix token; an unreadable file skips each label."""
+    """Resolve every matrix token; an unreadable file skips each label.
+
+    Under ``--inner eksm`` a singular operator is invalid input: each one is
+    factored here, before any solve, and the solves reuse the LU.
+    """
     resolved = []
     for token in args.matrix:
         spec = operators.parse_matrix_token(
             token, default_n=args.default_n, default_seed=args.seed)
         try:
-            resolved.append((token, operators.build_operator(spec)))
+            A = operators.build_operator(spec)
+            if getattr(args, "inner", None) == "eksm":
+                A.factorization()
         except (FileNotFoundError, OSError, operators.MatrixMarketError) as exc:
             skips.extend((token, label, str(exc)) for label in labels)
+        except densela.FactorizationError as exc:
+            raise densela.FactorizationError(f"{exc} (matrix {token})") from exc
+        else:
+            resolved.append((token, A))
     return resolved
 
 
@@ -124,11 +137,11 @@ def _solve(args, token, A, f, policy, num_triplets=1):
     if args.command == "power":
         report = baselines.power_method(
             A, f, args.eps_out, max_iters=args.m_max, inner_policy=policy,
-            seed=args.seed, matrix_label=token)
+            seed=args.seed)
     else:
         report = outer.run(A, f, args.eps_out, m_max=args.m_max,
                            inner_policy=policy, num_triplets=num_triplets,
-                           seed=args.seed, matrix_label=token)
+                           seed=args.seed)
     if report.aborted:
         print(f"warning: {token}/{f.id}: {report.aborted}", file=sys.stderr)
     return report
@@ -139,7 +152,7 @@ def _report_rows(args, token, A, fid):
     relax = args.command == "run" and args.relax
     report = _solve(args, token, A, get_function(fid),
                     _policy(args, relax, args.eps_inner))
-    return [_report_to_row(report)], [report.converged]
+    return [_report_to_row(token, fid, report)], [report.converged]
 
 
 def _triplet_rows(args, token, A, fid):

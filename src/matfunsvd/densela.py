@@ -3,11 +3,11 @@
 ``eig_dense`` and ``dense_matfun`` operate on small dense matrices
 (projected Hessenberg and coupling matrices); ``Factorization`` is the one
 SuperLU factorization of a large operator.  ``eig_dense`` returns LAPACK's
-eigenpairs as computed; ``dense_matfun`` evaluates the first column
-f(H) e1 of a matrix function by the rule its catalog entry holds.  For the
-functions with a branch cut it factors H = Z T Z^H once, with LAPACK's
-Schur routine; a guard reads the eigenvalues from T, and the rule works on
-T.  The small problems call LAPACK directly, each routine with the
+eigenpairs or Schur form as computed; ``dense_matfun`` evaluates the first
+column f(H) e1 of a matrix function by the rule its catalog entry holds.
+For the functions with a branch cut it factors H = Z T Z^H once, with
+LAPACK's Schur routine; a guard reads the eigenvalues it returns with T,
+and the rule works on T.  The Schur routine is called directly, with the
 workspace its own query asked for at that dimension.
 """
 
@@ -46,16 +46,13 @@ def _as_square(H):
 
 @functools.cache
 def _lwork(routine, n):
-    """Workspace LAPACK's own query asks of geev or gees at dimension n.
+    """Workspace LAPACK's own query asks of gees at dimension n.
 
     It covers the blocked Hessenberg reduction, so it is queried once per
     routine and dimension rather than passed as the minimum (3n).
     """
-    if routine.endswith("geev"):
-        work = getattr(lapack, routine + "_lwork")(n, 0, 0)[0]
-    else:
-        work = getattr(lapack, routine)(_unsorted, np.zeros((n, n)),
-                                        lwork=-1)[-2][0]
+    work = getattr(lapack, routine)(_unsorted, np.zeros((n, n)),
+                                    lwork=-1)[-2][0]
     return int(work.real)
 
 
@@ -64,41 +61,24 @@ def _unsorted(*_):
     return 0
 
 
-def _checked(info, routine):
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
+def eig_dense(H, schur=False):
+    """LAPACK's eigenvalues w of H, with its eigenvectors or its Schur form.
 
-
-def eig_dense(H, vectors=True):
-    """LAPACK's eigenvalues w and unit right eigenvectors vr of H, as (w, vr).
-
-    The nonsymmetric solver (Hessenberg reduction, shifted QR to Schur form,
-    back-substitution for the eigenvectors).  With ``vectors=False`` only w
-    is computed, by one call of geev, and returned.  w is complex; vr is
-    real when every eigenvalue of a real H is.
+    The nonsymmetric solver (Hessenberg reduction, shifted QR to Schur
+    form, back-substitution for the unit right eigenvectors vr) returns
+    (w, vr); vr is real when every eigenvalue of a real H is.  With
+    ``schur=True`` one call of gees returns (w, T, Z), H = Z T Z^H with T
+    quasi-triangular for real H and triangular else.  w is complex.
     """
     H = _as_square(H)
-    if vectors:
+    if not schur:
         return scipy.linalg.eig(H, check_finite=False)
-    n = H.shape[0]
-    if H.dtype.kind == "c":
-        w, _, _, info = lapack.zgeev(H, compute_vl=0, compute_vr=0,
-                                     lwork=_lwork("zgeev", n))
-    else:
-        wr, wi, _, _, info = lapack.dgeev(H, compute_vl=0, compute_vr=0,
-                                          lwork=_lwork("dgeev", n))
-        w = wr + 1j * wi
-    _checked(info, "geev")
-    return w
-
-
-def _schur(H):
-    """H = Z T Z^H by gees: T quasi-triangular for real H, triangular else."""
     routine = "zgees" if H.dtype.kind == "c" else "dgees"
-    out = getattr(lapack, routine)(_unsorted, H,
-                                   lwork=_lwork(routine, H.shape[0]))
-    _checked(out[-1], routine)
-    return out[0], out[-3]
+    T, _, *w, Z, _, info = getattr(lapack, routine)(
+        _unsorted, H, lwork=_lwork(routine, H.shape[0]))
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
+    return (w[0] + 1j * w[1] if len(w) == 2 else w[0]), T, Z  # [wr, wi] or [w]
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +97,9 @@ def dense_matfun(H, f: ScalarFunction):
     H = _as_square(H)
     if not f.has_branch_cut:
         return f.first_column(H)
-    T, Z = _schur(H)
+    lam, T, Z = eig_dense(H, schur=True)
     # distance of each eigenvalue to the closed ray (-inf, 0]; ||H||_F bounds
     # ||H||_2 from above, so the tolerance is never looser than a 2-norm one
-    lam = eig_dense(T, vectors=False)
     dist = np.where(lam.real <= 0.0, np.abs(lam.imag), np.abs(lam))
     bad = dist <= 1e-12 * float(np.linalg.norm(H))
     if np.any(bad):

@@ -270,7 +270,8 @@ def read_matrix_market(path):
 
     Supports coordinate and array formats with real/integer/complex fields.
     Pattern fields, symmetric/hermitian/skew banners, duplicate coordinate
-    entries, and out-of-bounds indices are rejected rather than repaired.
+    entries, out-of-bounds indices and non-finite values (inf, nan, or a
+    number that overflows to inf) are rejected rather than repaired.
     Returns a CSR matrix (coordinate) or an ndarray (array format).
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -319,6 +320,9 @@ def read_matrix_market(path):
                            if complex_field else float(toks[-1]))
             except (ValueError, OverflowError):
                 raise MatrixMarketError(f"bad {fmt} entry: {' '.join(toks)!r}") from None
+            if not np.isfinite(vals[k]):
+                raise MatrixMarketError(
+                    f"non-finite {fmt} entry: {' '.join(toks)!r}")
             k += 1
     if k != count:
         raise MatrixMarketError(f"{fmt} format declared {count} entries "

@@ -18,10 +18,10 @@ whose spectrum pairs as +/- sigma estimates.  Since K^2 = diag(M T, T M),
 they are read from the j x j eigenproblem of M T_square instead: theta is
 the principal square root of an eigenvalue and the eigenvector of K is
 [x; T_square x / theta].  The computed residual of an eigenpair
-(theta, q=[x; y]) is |t_{j+1,j} * x_j| and convergence is declared when it
-drops below eps_out * theta.  Inner error estimates are logged per step;
-their weighted sum bounds the gap between the computed residual and the
-true one.
+(theta, q=[x; y]) is |t_{j+1,j} * x_j|.  Inner error estimates are logged
+per step; their weighted sum bounds the gap between the computed residual
+and the true one, and convergence is declared when the two together drop
+below eps_out * theta.
 """
 
 import time
@@ -255,22 +255,27 @@ def _extract(state: BidiagState, num_triplets=1):
 
 @dataclass
 class RunReport:
-    """Outcome of one outer run; JSON field names are part of the contract."""
+    """Outcome of one outer run; every other number is derived from these."""
 
-    sigma: float
     triplets: list
-    outer_iters: int
     inner_total: int
-    inner_avg: float
     wall_time_s: float
     converged: bool
-    seed: int
     ledger: InexactnessLedger
-    matrix_label: str = ""
-    function_label: str = ""
-    method_label: str = "lanczos"
     aborted: str | None = None
     state: BidiagState | None = None
+
+    @property
+    def sigma(self):
+        return self.triplets[0].theta if self.triplets else np.nan
+
+    @property
+    def outer_iters(self):
+        return len(self.ledger)
+
+    @property
+    def inner_avg(self):
+        return self.inner_total / (2 * len(self.ledger)) if self.ledger else 0.0
 
     @property
     def rel_gap_second(self):
@@ -279,22 +284,6 @@ class RunReport:
     @property
     def gap_bound(self):
         return self.triplets[0].gap_bound if self.triplets else np.nan
-
-    def to_json_dict(self):
-        return {
-            "matrix": self.matrix_label,
-            "function": self.function_label,
-            "sigma": self.sigma,
-            "rel_gap_second": self.rel_gap_second,
-            "outer": self.outer_iters,
-            "inner_total": self.inner_total,
-            "inner_avg": self.inner_avg,
-            "time_s": self.wall_time_s,
-            "converged": self.converged,
-            "gap_bound": self.gap_bound,
-            "method": self.method_label,
-            "seed": self.seed,
-        }
 
 
 def _start_vector(n, dtype, seed):
@@ -306,16 +295,19 @@ def _start_vector(n, dtype, seed):
 
 def run(A, f: ScalarFunction, eps_out, m_max=500,
         inner_policy: InnerPolicy | None = None, num_triplets=1, seed=0,
-        keep_state=False, matrix_label="") -> RunReport:
+        keep_state=False) -> RunReport:
     """Approximate the leading singular triplets of f(A).
 
-    ``converged`` means that the leading estimate passed computed_residual
-    < eps_out * theta; secondary triplets are monitored but do not gate.
+    ``converged`` means that the leading estimate is certified:
+    computed_residual + gap_bound < eps_out * theta, which bounds the true
+    residual too; secondary triplets are monitored but do not gate.
     Otherwise ``aborted`` names the stop: "domain error in inner solve: ..."
     (the report carries the message instead of raising), "left basis
     breakdown" (f(A) v_j lies in span(U); the step j - 1 estimates kept had
-    just failed the test) or "right basis exhausted before convergence".
-    It stays None when min(m_max, n) steps ran out.
+    just failed the test), "inner solve unconverged: the gap bound is not
+    finite" (the ledger keeps an infinite estimate, so no later step could
+    certify) or "right basis exhausted before convergence".  It stays None
+    when min(m_max, n) steps ran out.
     """
     if not (0.0 < eps_out < 1.0):
         raise ValueError("eps_out must lie in (0, 1)")
@@ -340,8 +332,7 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
         elif not policy.relax or prev is None:
             eps_k = eps_out / m_max
         else:
-            eps_k = relax.next_tolerance(k, prev[0], prev[1], prev[2],
-                                         eps_out, m_max)
+            eps_k = relax.next_tolerance(k, *prev, eps_out, m_max)
         try:
             r1, r2 = bidiag_step(state, A, f, eps_k, policy)
         except DomainError as exc:
@@ -354,25 +345,22 @@ def run(A, f: ScalarFunction, eps_out, m_max=500,
         inner_total += r2.dims_used
         triplets, delta = _extract(state, num_triplets)
         lead = triplets[0]
-        theta = lead.theta
-        if theta > 0.0 and lead.computed_residual < eps_out * theta:
+        if lead.computed_residual + lead.gap_bound < eps_out * lead.theta:
             converged = True
+            break
+        if not np.isfinite(lead.gap_bound):
+            aborted = "inner solve unconverged: the gap bound is not finite"
             break
         if state.exhausted:
             aborted = "right basis exhausted before convergence"
             break
-        prev = (theta, delta, lead.computed_residual)
+        prev = (lead.theta, delta, lead.computed_residual)
 
     for t in triplets:  # coefficient vectors in U and V -> n-vectors
         t.left = state._U[:, : t.left.shape[0]] @ t.left
         t.right = state._V[:, : t.right.shape[0]] @ t.right
-    wall = time.perf_counter() - t0
-    outer = state.j
-    sigma = triplets[0].theta if triplets else np.nan
     return RunReport(
-        sigma=sigma, triplets=triplets, outer_iters=outer,
-        inner_total=inner_total,
-        inner_avg=inner_total / (2 * outer) if outer else 0.0,
-        wall_time_s=wall, converged=converged, seed=seed, ledger=state.ledger,
-        matrix_label=matrix_label, function_label=f.id,
-        aborted=aborted, state=state if keep_state else None)
+        triplets=triplets, inner_total=inner_total,
+        wall_time_s=time.perf_counter() - t0, converged=converged,
+        ledger=state.ledger, aborted=aborted,
+        state=state if keep_state else None)

@@ -228,14 +228,56 @@ def test_main_non_numeric_file_is_skipped_and_exits_1(tmp_path, capsys):
     assert f"skipped: file:path={path}/exp: bad coordinate entry" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "1e999"])
+@pytest.mark.parametrize("fid", ["exp", "invsqrt"])
+def test_main_non_finite_file_entry_is_skipped_and_exits_1(value, fid,
+                                                           tmp_path, capsys):
+    # the value parses as a float; the file's rows are skipped, not the
+    # whole command
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    f"2 2 1\n1 1 {value}\n")
+    code, rows, err = table(capsys, "run", "--matrix", f"file:path={path}",
+                            "--matrix", "A2:n=20", "--function", fid,
+                            "--eps-out", "1e-3")
+    assert code == 1 and [r["matrix"] for r in rows] == ["A2:n=20"]
+    assert (f"skipped: file:path={path}/{fid}: non-finite coordinate entry"
+            in err)
+
+
 @pytest.mark.parametrize("command", ["run", "triplets", "power"])
 def test_main_singular_operator_under_eksm_exits_2(command, tmp_path, capsys):
+    # every operator is factored before any solve: the A2 rows are not run
     path = oracles.write_mtx(tmp_path / "d.mtx", np.diag([1.0, 0.0, 0.0, 0.0]))
-    code = cli.main([command, "--matrix", f"file:path={path}", "--function",
-                     "invsqrt", "--inner", "eksm"])
+    token = f"file:path={path}"
+    code = cli.main([command, "--matrix", "A2:n=50", "--matrix", token,
+                     "--function", "invsqrt", "--inner", "eksm"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: sparse LU failed")
+    assert captured.err.count("\n") == 1 and token in captured.err
+
+
+def test_main_unbounded_gap_warns_and_exits_1(capsys):
+    # capped inner solves: the residual alone would pass, the gap bound is
+    # infinite, so the run stops uncertified
+    code, rows, err = table(capsys, "run", "--matrix", "A3:n=2000",
+                            "--function", "exp", "--eps-inner", "1e-7",
+                            "--max-inner-dim", "4")
+    assert code == 1
+    assert [(r["converged"], r["outer"], r["gap_bound"]) for r in rows] == [
+        (False, 1, None)]
+    assert err == ("warning: A3:n=2000/exp: inner solve unconverged: "
+                   "the gap bound is not finite\n")
+
+
+def test_main_power_vanishing_product_warns_and_exits_1(tmp_path, capsys):
+    token = f"file:path={oracles.write_mtx(tmp_path / 'z.mtx', np.zeros((4, 4)))}"
+    code, rows, err = table(capsys, "power", "--matrix", token, "--function",
+                            "identity", "--eps-out", "1e-6")
+    assert code == 1 and [(r["converged"], r["outer"]) for r in rows] == [
+        (False, 0)]
+    assert err == f"warning: {token}/identity: f(A) v vanished\n"
 
 
 def test_main_unconverged_exits_1(capsys):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from matfunsvd import (FUNCTION_IDS, DomainError, build_operator, get_function,
                        parse_matrix_token)
+from matfunsvd import densela
 from matfunsvd.densela import (Factorization, FactorizationError, dense_matfun,
                                eig_dense)
 
@@ -31,7 +32,7 @@ def test_eig_dense_residuals(n, seed):
     A = random_matrix(n, seed, complex_=(seed % 2 == 0))
     w, vr = eig_dense(A)
     scale = np.linalg.norm(A, 2)
-    npt.assert_allclose(np.sort_complex(eig_dense(A, vectors=False)),
+    npt.assert_allclose(np.sort_complex(eig_dense(A, schur=True)[0]),
                         np.sort_complex(w), rtol=0, atol=1e-12 * scale)
     for i in range(n):
         v = vr[:, i]
@@ -46,10 +47,21 @@ def test_eig_dense_eigenvalues_match_scipy(case):
          "complex": random_matrix(12, 7, complex_=True),
          "1x1": np.array([[2.5]]),
          "quasi-triangular": scipy.linalg.schur(random_matrix(12, 8))[0]}[case]
-    w = eig_dense(H, vectors=False)
+    w, T, Z = eig_dense(H, schur=True)
+    scale = np.linalg.norm(H, 2)
     npt.assert_allclose(np.sort_complex(w),
                         np.sort_complex(scipy.linalg.eigvals(H)),
-                        rtol=0, atol=1e-13 * np.linalg.norm(H, 2))
+                        rtol=0, atol=1e-13 * scale)
+    # the Schur form of that same call: H = Z T Z^H, Z unitary, T (quasi-)
+    # triangular, with 2 x 2 blocks only for the complex pairs of a real H
+    assert T.dtype == Z.dtype == H.dtype
+    npt.assert_allclose(Z @ T @ Z.conj().T, H, rtol=0, atol=1e-13 * scale)
+    npt.assert_allclose(Z.conj().T @ Z, np.eye(len(H)), rtol=0, atol=1e-13)
+    assert not np.any(np.tril(T, -2))
+    if H.dtype.kind == "f":
+        assert np.count_nonzero(np.diag(T, -1)) == np.count_nonzero(w.imag > 0)
+    else:
+        assert not np.any(np.diag(T, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +197,33 @@ def test_matfun_domain_error_on_cut_spectrum():
     # exp has no excluded set
     npt.assert_allclose(matfun(A, get_function("exp")),
                         np.diag(np.exp([1.0, -2.0, 3.0])), rtol=1e-12)
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_matfun_makes_one_eigensolve_per_branch_cut_call(fid, monkeypatch):
+    # the guard reads its eigenvalues from the one Schur form of H
+    calls = []
+    original = densela.eig_dense
+
+    def counting_eig(H, **kwargs):
+        calls.append(kwargs)
+        return original(H, **kwargs)
+
+    def no_other_eigensolve(*args, **kwargs):
+        raise AssertionError("dense_matfun made another eigensolve")
+
+    monkeypatch.setattr(densela, "eig_dense", counting_eig)
+    for module, name in [(scipy.linalg, "eig"), (scipy.linalg, "eigvals"),
+                         (np.linalg, "eig"), (np.linalg, "eigvals"),
+                         (scipy.linalg.lapack, "dgeev"),
+                         (scipy.linalg.lapack, "zgeev")]:
+        monkeypatch.setattr(module, name, no_other_eigensolve)
+    f = get_function(fid)
+    # a real and a complex H, spectra well right of the cut
+    for H in (0.3 * random_matrix(6, 1) + 4.0 * np.eye(6),
+              0.3 * random_matrix(5, 9, complex_=True) + 4.0 * np.eye(5)):
+        dense_matfun(H, f)
+    assert calls == ([{"schur": True}] * 2 if f.has_branch_cut else [])
 
 
 @pytest.mark.parametrize("fid", FUNCTION_IDS)

@@ -252,6 +252,13 @@ def test_mm_array_format(tmp_path):
      "entry: '1 1 abc'"),
     ("%%MatrixMarket matrix coordinate real general\n3 x 3\n",
      "size line: '3 x 3'"),
+    # values that parse as floats but are not finite
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 inf\n",
+     "non-finite coordinate entry: '1 1 inf'"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n",
+     "non-finite coordinate entry: '1 1 nan'"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1e999\n",
+     "non-finite coordinate entry: '1 1 1e999'"),
 ])
 def test_mm_rejects_malformed(tmp_path, body, msg):
     p = tmp_path / "bad.mtx"

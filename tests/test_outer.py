@@ -266,6 +266,37 @@ def test_inner_accounting_fields():
     assert rep.inner_total > 0
     npt.assert_allclose(rep.inner_avg, rep.inner_total / (2 * rep.outer_iters))
     assert rep.wall_time_s > 0
+    # the report stores each number once: these are read from its parts
+    assert rep.outer_iters == len(rep.ledger) > 0
+    assert rep.sigma == rep.triplets[0].theta
+    assert rep.gap_bound == rep.triplets[0].gap_bound
+
+
+@pytest.mark.parametrize("fid,steps", [("exp", 25), ("expneg", 24)])
+def test_converged_means_certified(fid, steps):
+    # relaxed runs whose computed residual alone passes one step earlier,
+    # while residual + gap bound is still at 1.21 (exp) and 1.07 (expneg)
+    # times eps_out * theta; convergence waits for the certificate
+    eps_out = 1e-7
+    rep = run(op("A3:n=300"), get_function(fid), eps_out, m_max=150,
+              inner_policy=InnerPolicy(relax=True), seed=2)
+    lead = rep.triplets[0]
+    assert rep.converged and rep.outer_iters == steps
+    assert lead.computed_residual + lead.gap_bound < eps_out * lead.theta
+
+
+@pytest.mark.parametrize("max_dim", [4, 8])
+def test_unbounded_gap_ends_the_run_uncertified(max_dim):
+    # capped inner solves leave an infinite estimate in the ledger; the
+    # residual test alone would pass after 5 steps at sigma 1.906e8
+    # (max_dim 4) or after 18 at 5.58e8 (max_dim 8), where sigma_1 is
+    # 6.77e8.  No later step can certify, so the run stops at once
+    rep = run(op("A3:n=2000"), get_function("exp"), 1e-4,
+              inner_policy=InnerPolicy(eps_inner=1e-7, max_dim=max_dim),
+              seed=0)
+    assert not rep.converged and rep.outer_iters == 1
+    assert rep.aborted == "inner solve unconverged: the gap bound is not finite"
+    assert not np.isfinite(rep.gap_bound)
 
 
 def test_run_passes_the_inner_dimension_hint(monkeypatch):
@@ -378,23 +409,11 @@ def test_right_exhaustion_converges_only_on_the_residual_test():
     rep = run(A, get_function("exp"), eps_out, seed=0, keep_state=True)
     assert rep.state.exhausted and rep.outer_iters == 1
     lead = rep.triplets[0]
-    assert rep.converged == (lead.computed_residual < eps_out * lead.theta)
+    assert rep.converged == (lead.computed_residual + lead.gap_bound
+                             < eps_out * lead.theta)
     assert (rep.aborted is None) == rep.converged
     if not rep.converged:
         assert rep.aborted == "right basis exhausted before convergence"
-
-
-def test_json_dict_has_contract_fields():
-    A = op("A2:n=60")
-    rep = run(A, get_function("exp"), 1e-5, inner_policy=EXACT, seed=0,
-              matrix_label="A2:n=60")
-    d = rep.to_json_dict()
-    assert set(d) == {"matrix", "function", "sigma", "rel_gap_second", "outer",
-                      "inner_total", "inner_avg", "time_s", "converged",
-                      "gap_bound", "method", "seed"}
-    assert d["matrix"] == "A2:n=60" and d["function"] == "exp"
-    assert d["converged"] is True and d["method"] == "lanczos"
-    assert isinstance(d["outer"], int) and d["outer"] == rep.outer_iters
 
 
 def test_run_input_validation():
