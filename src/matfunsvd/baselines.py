@@ -32,20 +32,22 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
     Each sweep maps y = f(A)^H (f(A) v) through the inner approximations
     and takes lambda = |v^H y| (v is kept unit, so this is the Rayleigh
     quotient; the modulus guards against a stray imaginary part).  The sweep
-    stops once the eigenvalue residual ||y - lambda v|| / lambda drops below
-    eps_out, and sigma = sqrt(lambda).  ``inner_policy`` is the same type
-    ``run`` takes; every sweep uses its fixed ``eps_inner``, by default
-    eps_out/100.  The relaxation schedule belongs to ``run``, so
-    ``relax=True`` raises ValueError.  The stopping test itself uses
-    inexact products, which is reported as-is without correction.  As in
-    ``run``, each inner solve runs its first lagged test at the smaller
-    inner dimension of the previous sweep minus the lag, so ``f(H_k)`` is
-    evaluated only from where that test can use it.  Also as in ``run``, a
-    DomainError of an inner solve ends the iteration unconverged, with
-    ``aborted`` set to "domain error in inner solve: ...", and a vanishing
-    f(A) v ends it with "f(A) v vanished" (``run`` reports a left basis
-    breakdown there).  ``outer_iters`` counts the completed sweeps, those
-    whose two solves both returned; sigma is nan when none completed.
+    stops once the eigenvalue residual ||y / lambda - v|| drops below
+    eps_out, and sigma = sqrt(lambda); y is divided by lambda before any
+    norm, which would square its entries of size sigma^2.  ``inner_policy``
+    is the same type ``run`` takes; every sweep uses its fixed
+    ``eps_inner``, by default eps_out/100.  The relaxation schedule belongs
+    to ``run``, so ``relax=True`` raises ValueError.  The stopping test
+    itself uses inexact products, which is reported as-is without
+    correction.  As in ``run``, each inner solve runs its first lagged test
+    at the smaller inner dimension of the previous sweep minus the lag, so
+    ``f(H_k)`` is evaluated only from where that test can use it.  Also as
+    in ``run``, a DomainError of an inner solve ends the iteration
+    unconverged, with ``aborted`` set to "domain error in inner solve:
+    ...", and a vanishing f(A) v ends it with "f(A) v vanished" (``run``
+    reports a left basis breakdown there), a vanishing lambda with
+    "f(A)^H f(A) v vanished".  ``outer_iters`` counts the completed sweeps,
+    those whose two solves both returned; sigma is nan when none completed.
     """
     if not (0.0 < eps_out < 1.0):
         raise ValueError("eps_out must lie in (0, 1)")
@@ -86,14 +88,17 @@ def power_method(A, f: ScalarFunction, eps_out, max_iters=500,
         first_test = min(r1.dims_used, r2.dims_used) - _LAG
         ledger.append_step(r1.err_estimate, r2.err_estimate, eps_inner)
         lam = float(abs(np.vdot(v, y)))
-        resid = float(np.linalg.norm(y - lam * v))
-        if lam > 0.0 and resid / lam <= eps_out:
+        if lam == 0.0:
+            aborted = "f(A)^H f(A) v vanished"
+            break
+        # y has entries of size sigma^2: scale by lam before any norm
+        y = y / lam
+        rel = float(np.linalg.norm(y - v))
+        resid = rel * lam
+        if rel <= eps_out:
             converged = True
             break
-        ynorm = float(np.linalg.norm(y))
-        if ynorm == 0.0:
-            break
-        v = y / ynorm
+        v = y / np.linalg.norm(y)
 
     sigma = float(np.sqrt(lam)) if ledger else np.nan
     left = w / np.linalg.norm(w) if np.linalg.norm(w) > 0 else w

@@ -1,54 +1,56 @@
 """Inner solver: Krylov approximation of f(A) v and f(A)^H u.
 
-One loop serves both subspace families.  A family only builds the
-orthonormal basis P and the projected matrix H one column at a time; at
-step k the loop may compute the coefficient vector c_k = f(H_k) e1 ||v||
-of the iterate z_k = P_k c_k and test it.  Both bases are stored
-column-major, so each column and each leading block P_k is one contiguous
-stretch of memory.
+One loop serves both subspace families.  A family builds the orthonormal
+basis P and the projected matrix H by steps of its own unit: expand(s)
+runs step s and returns the dimension d it reached and whether the space
+became invariant.  After a step the loop may compute the coefficient
+vector c_d = f(H_d) e1 ||v|| of the iterate z_d = P_d c_d and test it.
+Both bases are stored column-major, so each column and each leading block
+P_d is one contiguous stretch of memory.
 
-- ``standard-krylov`` is Arnoldi: column k is A times column k-1.  Its
-  Gram-Schmidt is one product per column with the second pass delayed by
-  one step (DCGS2, ``orth.rgs``), so the column returned by step k gets
-  its second pass at step k + 1.  P_k is final after step k, but H_k is
-  not: step k + 1 adds that pass's correction to its last column, a
-  relative change of about the unit roundoff.  f(H_k) is evaluated on H_k
-  as step k leaves it, so every first_test hint at or below a solve's
-  return gives the full scan's result bit for bit.
+- ``standard-krylov`` is Arnoldi: step k adds column k, A times column
+  k-1, so d = k.  Its Gram-Schmidt is one product per column with the
+  second pass delayed by one step (DCGS2, ``orth.rgs``), so the column
+  returned by step k gets its second pass at step k + 1.  P_k is final
+  after step k, but H_k is not: step k + 1 adds that pass's correction to
+  its last column, a relative change of about the unit roundoff.  f(H_k)
+  is evaluated on H_k as step k leaves it, so every first_test hint at or
+  below a solve's return gives the full scan's result bit for bit.
 - ``extended-krylov`` spans {v, A^{-1}v, Av, A^{-2}v, A^2 v, A^{-3}v, ...}
   from one cached LU: an odd column is a solve against, and an even one a
   product with, the column two before it (column 0 for the first of each).
-  Its projected matrix is the explicit projection P^H (A P).
+  Its step is one product and one solve, the unit the extended-Krylov
+  analyses track the iterate by (Druskin & Knizhnerman, SIMAX 1998;
+  Knizhnerman & Simoncini, NLAA 2010): step 1 adds only the solve column 1
+  (column 0 is v), step s >= 2 columns 2s - 2 and 2s - 1, so d = 2s, and a
+  last step stops at max_dim.  Its projected matrix is the explicit
+  projection P^H (A P); an entry of H never changes once written.
 
 Convergence uses the lagged iterate estimator with a fixed lag of 2:
-omega_k = ||z_k - z_{k-2}|| / ||z_{k-2}||.  The columns of P are
-orthonormal and P_{k-2} is the leading block of P_k, so
-z_k - z_{k-2} = P_k (c_k - [c_{k-2}; 0; 0]) and ||z_{k-2}|| = ||c_{k-2}||:
+omega_d = ||z_d - z_{d-2}|| / ||z_{d-2}||.  The columns of P are
+orthonormal and P_{d-2} is the leading block of P_d, so
+z_d - z_{d-2} = P_d (c_d - [c_{d-2}; 0; 0]) and ||z_{d-2}|| = ||c_{d-2}||:
 omega is computed on the short coefficient vectors and no n-vector is
 formed inside the loop.  The iteration stops once omega/(1-omega) <=
-eps_inner and returns the *lagged* iterate z_{k-2} together with
-err_estimate = omega/(1-omega) * ||z_{k-2}|| (an a posteriori estimate in
-the sense of Saad, SINUM 1992).  When the basis breaks down the space is
-invariant and the iterate is exact.  The one n-vector returned, P_d c, is
-formed on exit.  The estimator can stagnate on slowly converging spectra;
-omega_history is exposed so callers can inspect it.
+eps_inner and returns the *lagged* iterate z_{d-2} together with
+err_estimate = omega/(1-omega) * ||z_{d-2}|| (an a posteriori estimate in
+the sense of Saad, SINUM 1992).  For extended Krylov the lag is one step.
+When the basis breaks down the space is invariant and the iterate is
+exact.  The one n-vector returned, P_d c, is formed on exit.  The
+estimator can stagnate on slowly converging spectra; omega_history is
+exposed so callers can inspect it.
 
-The dense f(H_k) costs O(k^3), so evaluating it at every k makes a solve
-of dimension d cost O(d^4).  The hint ``first_test`` is the step of the
-first omega test; the outer bidiagonalization sets it from the inner
-dimensions of its previous step, and in its first step the adjoint solve
-from the forward one.  f(H_k) is evaluated only from
-k = first_test - 2 (the lagged partner of that test) on, on a breakdown and
-at the last step.  The extended basis grows in pairs, one solve and one
-product, so extended Krylov evaluates f(H_k) and tests only at even k,
-where a pair is complete, as the extended-Krylov analyses track the
-iterate once per pair (Druskin & Knizhnerman, SIMAX 1998; Knizhnerman &
-Simoncini, NLAA 2010).  The lag of 2 is then exactly one pair, an odd
-hint moves the first test up to the next even k, and a converged extended
-solve that does not break down uses an even dimension.  An odd last step
-is evaluated together with its skipped partner k - 2.  Every evaluated H_k
-passes the domain guard of ``densela.dense_matfun``; a skipped H_k
-produces nothing to guard.
+The dense f(H_d) costs O(d^3), so evaluating it at every step makes a
+solve of dimension d cost O(d^4).  The hint ``first_test`` is the
+dimension of the first omega test; the outer bidiagonalization sets it
+from the inner dimensions of its previous step, and in its first step the
+adjoint solve from the forward one.  f(H_d) is evaluated after each step
+that reaches d >= first_test - 2 (the lagged partner of that test), and on
+a breakdown.  A test whose partner c_{d-2} was never computed computes it
+then; only an odd last extended step meets one, and its H_{d-2} is final.
+An Arnoldi partner, whose H_{d-2} later steps still correct, always comes
+from its own step.  Every evaluated H_d passes the domain guard of
+``densela.dense_matfun``; a skipped H_d produces nothing to guard.
 """
 
 from dataclasses import dataclass, field
@@ -154,32 +156,30 @@ def _arnoldi(A, v1, max_dim, adjoint):
 
 
 def _extended(A, v1, max_dim, adjoint):
-    """Extended Krylov basis; expand(k) adds column k-1 by a solve or a product."""
+    """Extended Krylov basis; expand(s) adds step s's product and solve."""
     apply = A.apply_adjoint if adjoint else A.apply
     fact = A.factorization()
-    P = np.empty((A.n, max_dim + 1), dtype=v1.dtype, order="F")
+    P = np.empty((A.n, max_dim), dtype=v1.dtype, order="F")
     W = np.empty_like(P)  # W[:, i] = A @ P[:, i], column-major like P
-    H = np.zeros((max_dim + 1, max_dim + 1), dtype=v1.dtype)
+    H = np.zeros((max_dim, max_dim), dtype=v1.dtype)
     P[:, 0] = v1
     W[:, 0] = apply(v1)
     H[0, 0] = np.vdot(v1, W[:, 0])
 
-    def expand(k):
-        c = k - 1
-        if c == 0:
-            return k, False
-        seed = max(c - 2, 0)
-        w = fact.solve(P[:, seed], adjoint=adjoint) if c % 2 else W[:, seed]
-        try:
-            q, _ = rgs(w, P[:, :c])
-        except BasisBreakdown:
-            # the c columns span a space invariant under A and A^{-1}
-            return c, True
-        P[:, c] = q
-        W[:, c] = apply(q)
-        H[:k, c] = np.dot(W[:, c].conj(), P[:, :k]).conj()
-        H[c, :c] = q.conj() @ W[:, :c]
-        return k, False
+    def expand(s):
+        for c in range(max(2 * s - 2, 1), min(2 * s, max_dim)):
+            seed = max(c - 2, 0)
+            w = fact.solve(P[:, seed], adjoint=adjoint) if c % 2 else W[:, seed]
+            try:
+                q, _ = rgs(w, P[:, :c])
+            except BasisBreakdown:
+                # the c columns span a space invariant under A and A^{-1}
+                return c, True
+            P[:, c] = q
+            W[:, c] = apply(q)
+            H[: c + 1, c] = np.dot(W[:, c].conj(), P[:, : c + 1]).conj()
+            H[c, :c] = q.conj() @ W[:, :c]
+        return min(2 * s, max_dim), False
 
     return P, H, expand
 
@@ -192,30 +192,26 @@ def approx_fAv(A, f: ScalarFunction, v, eps_inner, policy=InnerPolicy(),
     subspace family and its dimension cap (its own tolerance fields are
     read by the outer run and the power method, not here).
 
-    Step k completes the projected matrix H_k of the chosen family.  The
-    first omega test runs at k = first_test, clamped to at most
-    min(max_dim, n) and at least 3; the default tests from k = 3 on, and the
-    outer bidiagonalization passes the smaller inner dimension of its
-    previous step minus 2 (in its first step, the adjoint solve gets the
-    forward dimension minus 2).  The coefficients c_k = f(H_k) e1 ||v|| of the
-    iterate z_k = P_k c_k are computed from k = first_test - 2 on, on a
-    basis breakdown and at the last step; below that only the basis grows.
-    Extended Krylov computes c_k and tests only at even k, once per
-    completed pair of columns (Druskin & Knizhnerman, SIMAX 1998;
-    Knizhnerman & Simoncini, NLAA 2010): an odd first_test moves its first
-    test to first_test + 1, and an odd last step also computes its lagged
-    partner c_{k-2}.  A basis breakdown returns its iterate as exact
-    (err_estimate 0).  At each tested k, omega_k = ||z_k - z_{k-2}|| /
-    ||z_{k-2}|| is evaluated as ||c_k - [c_{k-2}; 0; 0]|| / ||c_{k-2}||,
-    which is equal because P has orthonormal columns and P_{k-2} is the
-    leading block of P_k.  The loop returns z_{k-2} once omega/(1-omega) <=
-    eps_inner, and the last iterate unconverged after min(max_dim, n)
-    steps.  A hint above the step where the test would first pass returns
-    a later, more accurate z_{k-2}; dims_used still counts every column
-    built.  Every f(H_k) that is computed raises DomainError when H_k hits
-    the excluded set of f; a skipped H_k is never evaluated, so it is never
-    checked, but the last H_k always is.  On each exit the returned
-    n-vector is formed once, as P_d c.
+    Each step of the chosen family, one Arnoldi column or one extended
+    product and solve, completes the projected matrix H_d of the dimension d
+    it reaches.  The first omega test runs at the first d >= first_test,
+    clamped to at most min(max_dim, n) and at least 3; the default tests
+    from d = 3 on, and the outer bidiagonalization passes the smaller inner
+    dimension of its previous step minus 2 (in its first step, the adjoint
+    solve gets the forward dimension minus 2).  The coefficients c_d =
+    f(H_d) e1 ||v|| of the iterate z_d = P_d c_d are computed from d =
+    first_test - 2 on and on a basis breakdown; below that only the basis
+    grows.  A basis breakdown returns its iterate as exact (err_estimate 0).
+    At each tested d, omega_d = ||z_d - z_{d-2}|| / ||z_{d-2}|| is evaluated
+    as ||c_d - [c_{d-2}; 0; 0]|| / ||c_{d-2}||, which is equal because P has
+    orthonormal columns and P_{d-2} is the leading block of P_d.  The loop
+    returns z_{d-2} once omega/(1-omega) <= eps_inner, and the last iterate
+    unconverged at d = min(max_dim, n).  A hint above the dimension where
+    the test would first pass returns a later, more accurate z_{d-2};
+    dims_used still counts every column built.  Every f(H_d) that is
+    computed raises DomainError when H_d hits the excluded set of f; a
+    skipped H_d is never evaluated, so it is never checked, but the last H_d
+    always is.  On each exit the returned n-vector is formed once, as P_d c.
     """
     v = np.asarray(v)
     nrm0 = float(np.linalg.norm(v))
@@ -229,8 +225,12 @@ def approx_fAv(A, f: ScalarFunction, v, eps_inner, policy=InnerPolicy(),
     first_test = max(min(first_test, max_dim), _LAG + 1)
     build = _arnoldi if policy.method == "standard-krylov" else _extended
     P, H, expand = build(A, v1, max_dim, adjoint)
-    ring = [None] * (_LAG + 1)
+    coeffs = {}  # c_d by dimension d
     omegas: list = []
+
+    def coeff(d):
+        coeffs[d] = densela.dense_matfun(H[:d, :d], f) * nrm0
+        return coeffs[d]
 
     def finish(c, err, d, converged, breakdown):
         return InnerResult(
@@ -238,25 +238,18 @@ def approx_fAv(A, f: ScalarFunction, v, eps_inner, policy=InnerPolicy(),
             dims_used=d, omega_history=omegas, converged=converged,
             breakdown=breakdown)
 
-    # the extended basis grows in pairs (a solve and a product): its f(H_k)
-    # and tests run at even k only, where a pair is complete
-    pairs = policy.method == "extended-krylov"
-    for k in range(1, max_dim + 1):
-        d, invariant = expand(k)
-        skip = k < first_test - _LAG or (pairs and k % 2 and k < max_dim)
-        if skip and not invariant:
-            continue
-        c = densela.dense_matfun(H[:d, :d], f) * nrm0
+    d = step = 0
+    while d < max_dim:
+        step += 1
+        d, invariant = expand(step)
         if invariant:
-            return finish(c, 0.0, d, True, True)
-        ring[k % (_LAG + 1)] = c
-        if k < first_test:
+            return finish(coeff(d), 0.0, d, True, True)
+        if d < first_test - _LAG:
             continue
-        if pairs and k % 2:
-            # an odd last step: its lagged partner was skipped, evaluate it
-            ring[(k - _LAG) % (_LAG + 1)] = densela.dense_matfun(
-                H[: k - _LAG, : k - _LAG], f) * nrm0
-        c_old = ring[(k - _LAG) % (_LAG + 1)]
+        c = coeff(d)
+        if d < first_test:
+            continue
+        c_old = coeffs[d - _LAG] if d - _LAG in coeffs else coeff(d - _LAG)
         m = c_old.shape[0]
         denom = float(np.linalg.norm(c_old))
         # ||c - [c_old; 0]|| without forming the padded vector
@@ -264,7 +257,7 @@ def approx_fAv(A, f: ScalarFunction, v, eps_inner, policy=InnerPolicy(),
         omega = float(diff) / denom if denom else np.inf
         omegas.append(omega)
         if omega < 1.0 and omega / (1.0 - omega) <= eps_inner:
-            return finish(c_old, omega / (1.0 - omega) * denom, k, True, False)
+            return finish(c_old, omega / (1.0 - omega) * denom, d, True, False)
 
     est = omegas[-1] / (1.0 - omegas[-1]) * np.linalg.norm(c) \
         if omegas and omegas[-1] < 1.0 else np.inf

@@ -214,40 +214,37 @@ def build_operator(spec: MatrixSpec) -> LinearOperator:
 # ---------------------------------------------------------------------------
 # matrix tokens ("A5:n=10000", "A4:path=e20r1000.mtx:shift=10")
 
-_INT_KEYS = {"n", "seed"}
-_FLOAT_KEYS = {"shift"}
+# the keys each kind reads, with their types; any other key is an error
+_TOKEN_KEYS = {"A1": {"n": int, "seed": int}, "A2": {"n": int},
+               "A3": {"n": int}, "A5": {"n": int}}
+_TOKEN_KEYS["A4"] = _TOKEN_KEYS["file"] = {"path": str, "shift": float}
 
 
 def parse_matrix_token(token: str, default_n: int = 10000,
                        default_seed: int | None = None) -> MatrixSpec:
-    parts = token.split(":")
-    kind = parts[0].strip()
-    if kind not in _BUILDERS or kind == "dense":
+    """MatrixSpec of a token; an unread or repeated key is an OperatorError."""
+    kind, *parts = token.split(":")
+    kind = kind.strip()
+    keys = _TOKEN_KEYS.get(kind)
+    if keys is None:
         raise OperatorError(f"unknown matrix token kind {kind!r} in {token!r}")
     kvs = {}
-    for part in parts[1:]:
+    for part in parts:
         if "=" not in part:
             raise OperatorError(f"malformed token component {part!r} in {token!r}")
         key, value = part.split("=", 1)
         key = key.strip()
-        if key in _INT_KEYS:
-            try:
-                kvs[key] = int(value)
-            except ValueError:
-                raise OperatorError(f"{key} must be an integer in {token!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                kvs[key] = float(value)
-            except ValueError:
-                raise OperatorError(f"{key} must be a number in {token!r}") from None
-        elif key == "path":
-            kvs[key] = value
-        else:
-            raise OperatorError(f"unknown token key {key!r} in {token!r}")
-    n = kvs.get("n", default_n)
-    seed = kvs.get("seed", default_seed)
-    return MatrixSpec(kind=kind, n=n, seed=seed, shift=kvs.get("shift"),
-                      path=kvs.get("path"))
+        if key in kvs or key not in keys:
+            why = "repeated" if key in kvs else f"{kind} does not read"
+            raise OperatorError(f"{why} token key {key!r} in {token!r}")
+        try:
+            kvs[key] = keys[key](value)
+        except ValueError:
+            what = "an integer" if keys[key] is int else "a number"
+            raise OperatorError(f"{key} must be {what} in {token!r}") from None
+    return MatrixSpec(kind=kind, n=kvs.get("n", default_n),
+                      seed=kvs.get("seed", default_seed),
+                      shift=kvs.get("shift"), path=kvs.get("path"))
 
 
 # ---------------------------------------------------------------------------

@@ -193,11 +193,14 @@ def _projected_eig(M, T, count):
 
     Because lambda = theta^2, a trailing theta loses relative accuracy: its
     absolute error is about eps * theta_max.  M T also squares the range of
-    the entries; the vector norms of the run loop already keep theta within
-    the square root of the floating-point range.
+    the entries, and scipy 1.17.1's eig pins the eigenvalues of a matrix
+    with all entries beyond about 1e-/+138 near 6.7e-139 or 1.5e138.  So M
+    and T are first divided by 2^e, e the binary exponent of their largest
+    entry, which is exact, and theta is multiplied back.
     """
-    w, vr = eig_dense(M @ T)
-    theta = np.sqrt(w)
+    scale = 2.0 ** np.frexp(max(np.abs(M).max(), np.abs(T).max()))[1]
+    w, vr = eig_dense((M / scale) @ (T / scale))
+    theta = np.sqrt(w) * scale
     theta[(theta.real == 0.0) & (theta.imag < 0.0)] *= -1.0
     order = np.lexsort((-theta.imag, -theta.real, -np.abs(theta)))
     # vr is real when every eigenvalue is; the blocks are complex regardless

@@ -118,6 +118,18 @@ def test_power_names_the_stop_when_fAv_vanishes():
     assert run(A, f, 1e-6).aborted == "left basis breakdown"
 
 
+@pytest.mark.parametrize("s", [1e-100, 1e100, 1e150])
+def test_power_sigma_far_from_unit_scale(s):
+    # y = f(A)^H f(A) v has entries of size sigma^2, whose squares underflow
+    # or overflow; sigma(s B) = s sigma(B)
+    B = np.diag(np.arange(1.0, 7.0)) + np.diag(np.full(5, 0.1), 1)
+    A = oracles.make_operator_from_dense(s * B)
+    pw = power_method(A, get_function("identity"), 1e-8)
+    assert pw.converged and pw.aborted is None
+    npt.assert_allclose(pw.sigma, s * np.linalg.svd(B, compute_uv=False)[0],
+                        rtol=1e-12)
+
+
 def test_power_input_validation():
     A = op("A2:n=10")
     with pytest.raises(ValueError):

@@ -280,6 +280,35 @@ def test_main_power_vanishing_product_warns_and_exits_1(tmp_path, capsys):
     assert err == f"warning: {token}/identity: f(A) v vanished\n"
 
 
+def test_main_sigma_far_from_unit_scale(tmp_path, capsys):
+    # exp(D + c I) = e^c exp(D): sigma near 1e71 and 1e-103, whose squares
+    # lie beyond the range where LAPACK's eig is right
+    D = np.diag([1.0, 2.0, 3.0, 4.0])
+    D[0, 1] = 0.5
+    path = oracles.write_mtx(tmp_path / "d4.mtx", D)
+    shifts = (160, -240)
+    argv = [a for c in shifts for a in ("--matrix", f"file:path={path}:shift={c}")]
+    code, rows, err = table(capsys, "run", *argv, "--function", "exp",
+                            "--eps-out", "1e-8")
+    assert code == 0 and err == ""
+    sv = np.linalg.svd(oracles.dense_fA(D, "exp"), compute_uv=False)[0]
+    for row, c in zip(rows, shifts):
+        assert row["converged"] is True
+        npt.assert_allclose(row["sigma"], np.exp(c) * sv, rtol=1e-5)
+
+
+def test_main_triplets_beyond_n_are_empty(capsys):
+    argv = ["--matrix", "A2:n=3", "--function", "exp", "--triplets", "5"]
+    values = ("sigma_fixed", "sigma_relaxed", "rel_discrepancy")
+    code, rows, err = table(capsys, "triplets", *argv)
+    assert code == 0 and err == "" and [r["index"] for r in rows] == [1, 2, 3, 4, 5]
+    assert all(r[k] is not None for r in rows[:3] for k in values)
+    assert all(r[k] is None for r in rows[3:] for k in values)
+    assert cli.main(["triplets", *argv, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [[r[k] for k in values] for r in rows[3:]] == [[None] * 3] * 2
+
+
 def test_main_unconverged_exits_1(capsys):
     code = cli.main(["run", "--matrix", "A2:n=60", "--function", "exp",
                      "--eps-out", "1e-10", "--m-max", "2"])

@@ -178,7 +178,9 @@ def test_token_parsing_defaults_and_overrides():
     assert spec.path == "m.mtx" and spec.shift == 2.5
 
 
-@pytest.mark.parametrize("bad", ["A9", "dense", "A2:n=ten", "A2:n", "A2:m=3", ""])
+@pytest.mark.parametrize("bad", ["A9", "dense", "A2:n=ten", "A2:n", "A2:m=3", "",
+                                 "A5:n=100:shift=5", "A3:n=50:n=60",
+                                 "file:path=F:n=7", "A2:n=50:seed=3"])
 def test_token_parsing_rejects(bad):
     with pytest.raises(OperatorError):
         parse_matrix_token(bad)

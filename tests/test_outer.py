@@ -132,6 +132,18 @@ def test_scalar_matrix_run_is_exact_in_one_step():
     npt.assert_allclose(rep.sigma, np.exp(a), rtol=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e-100, 1e100, 1e150])
+def test_run_certifies_sigma_far_from_unit_scale(s):
+    # M T holds entries of size sigma^2, beyond the range where LAPACK's
+    # eig is right at these scales; sigma(s B) = s sigma(B)
+    B = np.diag(np.arange(1.0, 7.0)) + np.diag(np.full(5, 0.1), 1)
+    A = oracles.make_operator_from_dense(s * B)
+    rep = run(A, get_function("identity"), 1e-8)
+    assert rep.converged
+    npt.assert_allclose(rep.sigma, s * np.linalg.svd(B, compute_uv=False)[0],
+                        rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # exact-mode structure of the coupling matrices
 
